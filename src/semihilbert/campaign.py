@@ -97,47 +97,25 @@ def _instance_id(gi: int, spec: GenSpec, seed: int) -> str:
 
 
 def _run_instance(payload) -> tuple[str, BoundReport, list[str]]:
-    gi, spec, trial, tol, corrupt_bound = payload
+    gi, spec, trial, tol = payload
     seed = spec.seed + trial
     instance_id = _instance_id(gi, spec, seed)
     bm = gen_block_matrix(replace(spec, seed=seed), tol)
     report = evaluate_all(bm, tol, instance_id=instance_id)
     failures = instance_invariants(bm, report, tol)
-    if corrupt_bound is not None:
-        report = _corrupt(report, corrupt_bound, tol)
     return instance_id, report, failures
 
 
-def _corrupt(report: BoundReport, key: str, tol: ToleranceConfig) -> BoundReport:
-    """Test-only hook: force one bound below the radius to exercise the plumbing."""
-    bounds = dict(report.bounds)
-    bounds[key] = report.omega / 2.0 - 1.0
-    slack = tol.cmp_atol * (1.0 + report.omega)
-    gaps = {k: v - report.omega for k, v in bounds.items()}
-    holds = {k: report.omega <= v + slack for k, v in bounds.items()}
-    return BoundReport(
-        instance_id=report.instance_id,
-        omega=report.omega,
-        bounds=bounds,
-        gaps=gaps,
-        holds=holds,
-        refinement_ok=bounds["B3_th2"] <= bounds["B7_prior"] + tol.cmp_atol,
-        timing=report.timing,
-    )
-
-
-def run_campaign(cfg: CampaignConfig, corrupt_bound: str | None = None) -> CampaignResult:
+def run_campaign(cfg: CampaignConfig) -> CampaignResult:
     """Generate, evaluate and summarize trials x gens instances.
 
     Writes per-instance reports (and a summary) when an output path is
     configured.  The summary counts violations per bound and per invariant;
     the campaign is considered failed when any count is nonzero.
     """
-    if corrupt_bound is not None and corrupt_bound not in BOUND_KEYS:
-        raise ValueError(f"unknown bound key {corrupt_bound!r}")
     t_start = time.perf_counter()
     payloads = [
-        (gi, spec, trial, cfg.tol, corrupt_bound)
+        (gi, spec, trial, cfg.tol)
         for gi, spec in enumerate(cfg.gens)
         for trial in range(cfg.trials)
     ]

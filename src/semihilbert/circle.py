@@ -2,7 +2,9 @@
 
 Strategy: a uniform grid on [0, 2*pi) locates candidate peaks, then
 golden-section refinement polishes the best three peak neighborhoods down
-to ``theta_refine_tol``.  Many searches with the same grid can run in
+to ``theta_refine_tol``.  After its first step the refinement carries the
+surviving interior point and its value forward, so each further step costs
+one objective evaluation per peak.  Many searches with the same grid run in
 lockstep (the bracket widths shrink identically), which keeps the per-call
 numpy overhead off the hot path of the verification campaigns.
 
@@ -63,17 +65,24 @@ def sup_on_circle_batch(evaluate, count: int, tol: ToleranceConfig = DEFAULT_TOL
     b = top * h + h
     width = 2.0 * h
     refined = width > tol.theta_refine_tol
-    while width > tol.theta_refine_tol:
-        span = b - a
-        c = b - _SHRINK * span
-        d = a + _SHRINK * span
+    if refined:
+        c = b - _SHRINK * (b - a)
+        d = a + _SHRINK * (b - a)
         vals = np.asarray(evaluate(np.concatenate([c, d], axis=1)), dtype=float)
-        fc = vals[:, :_PEAKS]
-        fd = vals[:, _PEAKS:]
-        keep_left = fc >= fd
-        b = np.where(keep_left, d, b)
-        a = np.where(keep_left, a, c)
-        width *= _SHRINK
+        fc, fd = vals[:, :_PEAKS], vals[:, _PEAKS:]
+        while True:
+            keep_left = fc >= fd
+            a = np.where(keep_left, a, c)
+            b = np.where(keep_left, d, b)
+            width *= _SHRINK
+            if width <= tol.theta_refine_tol:
+                break
+            # the kept interior point already sits at the golden ratio of the
+            # new bracket, so each step evaluates one new angle per peak
+            x = np.where(keep_left, b - _SHRINK * (b - a), a + _SHRINK * (b - a))
+            fx = np.asarray(evaluate(x), dtype=float)
+            c, d = np.where(keep_left, x, d), np.where(keep_left, c, x)
+            fc, fd = np.where(keep_left, fx, fd), np.where(keep_left, fc, fx)
 
     centers = (a + b) / 2.0
     if refined:

@@ -128,7 +128,7 @@ def _campaign_from_file(args) -> CampaignConfig:
 
 def _cmd_verify(args) -> int:
     cfg = _campaign_from_file(args)
-    result = run_campaign(cfg, corrupt_bound=args.corrupt_bound)
+    result = run_campaign(cfg)
     print(json.dumps(result.summary, indent=1, sort_keys=True))
     return 1 if result.summary["violations"] else 0
 
@@ -210,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--parallelism", type=int, default=None)
-    p.add_argument("--corrupt-bound", default=None, help=argparse.SUPPRESS)
     _add_tol_flags(p)
     p.set_defaults(func=_cmd_verify)
 

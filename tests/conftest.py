@@ -1,9 +1,13 @@
 """Shared helpers for the test suite."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import semihilbert.campaign as campaign
 from semihilbert import Operator, make_context
+from semihilbert.bounds import BOUND_KEYS
 from semihilbert.generators import gen_compatible, gen_psd
 
 
@@ -30,3 +34,28 @@ def a_unit_samples(rng, ctx, count):
 
 def operator(matrix, ctx) -> Operator:
     return Operator(np.asarray(matrix, dtype=complex), ctx)
+
+
+def corrupt_bound(monkeypatch, key):
+    """Make the campaign's evaluator report bound ``key`` far below the radius.
+
+    Exercises the violation plumbing of serial campaigns and ``verify``; the
+    other bounds, gaps and verdicts are recomputed as the evaluator would.
+    """
+    if key not in BOUND_KEYS:
+        raise ValueError(f"unknown bound key {key!r}")
+    evaluate = campaign.evaluate_all
+
+    def corrupted(bm, tol, instance_id):
+        report = evaluate(bm, tol, instance_id=instance_id)
+        bounds = dict(report.bounds, **{key: report.omega / 2.0 - 1.0})
+        slack = tol.cmp_atol * (1.0 + report.omega)
+        return replace(
+            report,
+            bounds=bounds,
+            gaps={k: v - report.omega for k, v in bounds.items()},
+            holds={k: report.omega <= v + slack for k, v in bounds.items()},
+            refinement_ok=bounds["B3_th2"] <= bounds["B7_prior"] + tol.cmp_atol,
+        )
+
+    monkeypatch.setattr(campaign, "evaluate_all", corrupted)

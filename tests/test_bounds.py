@@ -22,6 +22,8 @@ from semihilbert import (
     flatten,
     make_context,
 )
+from semihilbert.bounds import _BoundWork
+from semihilbert.config import DEFAULT_TOL, ToleranceConfig
 from semihilbert.generators import gen_compatible, gen_psd
 
 from test_blockops import random_block_matrix
@@ -101,6 +103,18 @@ def test_th2_refines_prior():
     for seed in range(20):
         bm = random_block_matrix(3, 2, 2, seed)
         assert bound_th2(bm) <= bound_prior(bm) + SLACK
+
+
+def test_th2_is_top_eigenvalue_of_symmetric_comparison_matrix():
+    fine = ToleranceConfig(theta_samples=4096)
+    for seed in range(10):
+        bm = random_block_matrix(2 + seed % 3, 2, 1 + seed % 2, seed)
+        work = _BoundWork(bm, DEFAULT_TOL)
+        s = work.offdiag_omegas + np.diag(work.diag_omegas)
+        th2 = bound_th2(bm)
+        assert th2 == np.linalg.eigvalsh((s + s.T) / 2.0)[-1]
+        # exact in exact arithmetic; eigensolver rounding is a few ulp
+        assert th2 >= classical_numerical_radius(s, fine).value - 1e-14 * max(1.0, th2)
 
 
 def test_offdiag_refinement_is_strict_somewhere():

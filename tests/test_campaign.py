@@ -7,6 +7,8 @@ import pytest
 from semihilbert import CampaignConfig, GenSpec, ToleranceConfig, run_campaign
 from semihilbert.bounds import BOUND_KEYS
 
+from conftest import corrupt_bound
+
 FAST_TOL = ToleranceConfig(theta_samples=64, theta_refine_tol=1e-7)
 
 
@@ -69,16 +71,17 @@ def test_campaign_summary_file(tmp_path):
     assert "wall_time_s" in summary
 
 
-def test_corrupted_bound_is_reported():
-    result = run_campaign(small_config(trials=2), corrupt_bound="B3_th2")
+def test_corrupted_bound_is_reported(monkeypatch):
+    corrupt_bound(monkeypatch, "B3_th2")
+    result = run_campaign(small_config(trials=2))
     assert result.summary["violations"] > 0
     assert result.summary["bound_violations"]["B3_th2"] == 4
     assert all(v == 0 for k, v in result.summary["bound_violations"].items() if k != "B3_th2")
 
 
-def test_corrupt_unknown_bound_rejected():
+def test_corrupt_unknown_bound_rejected(monkeypatch):
     with pytest.raises(ValueError):
-        run_campaign(small_config(trials=1), corrupt_bound="B9_unknown")
+        corrupt_bound(monkeypatch, "B9_unknown")
 
 
 def test_config_validation():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from semihilbert import ToleranceConfig, sup_on_circle, sup_on_circle_batch
-from semihilbert.circle import rotation_eig_objective
+from semihilbert.circle import _SHRINK, TWO_PI, rotation_eig_objective
 
 
 def test_cosine_objective_refines_to_known_maximum():
@@ -68,3 +68,41 @@ def test_refinement_can_be_disabled_by_coarse_tolerance():
     res = sup_on_circle(f, ToleranceConfig(theta_samples=64, theta_refine_tol=1.0))
     assert not res.refined
     assert res.value == pytest.approx(1.0, abs=1e-2)
+
+
+def contractions(tol):
+    """Golden-section steps that take the 2h starting bracket below the tolerance."""
+    width, steps = 2.0 * TWO_PI / tol.theta_samples, 0
+    while width > tol.theta_refine_tol:
+        width *= _SHRINK
+        steps += 1
+    return steps
+
+
+@pytest.mark.parametrize(
+    "tol, expected",
+    [
+        (ToleranceConfig(theta_samples=128, theta_refine_tol=1e-7), 221),
+        (ToleranceConfig(), 1177),
+    ],
+)
+def test_golden_section_evaluates_one_new_angle_per_peak_and_step(tol, expected):
+    # grid, both interior points of the first step for 3 peaks, one point per
+    # peak for every later step, then the 3 bracket centres
+    rng = np.random.default_rng(6)
+    mats = rng.standard_normal((4, 4, 4)) + 1j * rng.standard_normal((4, 4, 4))
+    objective = rotation_eig_objective(mats)
+    calls = []
+
+    def counted(thetas):
+        values = objective(thetas)
+        calls.append(values)
+        return values
+
+    results = sup_on_circle_batch(counted, len(mats), tol)
+    m, steps = tol.theta_samples, contractions(tol)
+    angles = sum(v.shape[1] for v in calls)
+    assert angles == m + 6 + 3 * (steps - 1) + 3 == expected
+    grid_best = calls[0].max(axis=1)
+    for res, best in zip(results, grid_best):
+        assert res.value >= best

@@ -8,6 +8,7 @@ import pytest
 from semihilbert.cli import main
 from semihilbert.serialize import block_matrix_to_json, matrix_to_json
 
+from conftest import corrupt_bound
 from test_blockops import random_block_matrix
 
 
@@ -100,9 +101,10 @@ def test_flag_beats_env(tmp_path, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["instances"] == 3
 
 
-def test_verify_corrupted_bound_exits_nonzero(tmp_path, capsys):
+def test_verify_corrupted_bound_exits_nonzero(tmp_path, capsys, monkeypatch):
     cfg = campaign_file(tmp_path)
-    code = main(["verify", "--config", cfg, "--corrupt-bound", "B1_thf1"])
+    corrupt_bound(monkeypatch, "B1_thf1")
+    code = main(["verify", "--config", cfg])
     assert code == 1
     summary = json.loads(capsys.readouterr().out)
     assert summary["bound_violations"]["B1_thf1"] > 0

@@ -1,4 +1,4 @@
-"""Classical and weighted radii, the dual-route check and the circle search."""
+"""Classical and weighted radii, the adjoint identity check and the circle search."""
 
 import numpy as np
 import pytest
@@ -155,6 +155,24 @@ def test_route_disagreement_raises():
         validated_radius_batch(
             reduce(t)[None], wrong_sharp[None], ToleranceConfig()
         )
+
+
+def test_adjoint_identity_check_has_norm_scaled_slack():
+    _, t = random_member(3, 2, seed=4)
+    tol = ToleranceConfig()
+    r = reduce(t)
+    slack = tol.cmp_atol * (1.0 + np.linalg.norm(r, 2))
+    rng = np.random.default_rng(5)
+    e = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    e /= np.linalg.norm(e, 2)
+    stack = np.stack([r, r])
+    exact = np.conj(np.swapaxes(stack, -1, -2))
+    within = validated_radius_batch(stack, exact + 0.5 * slack * e, tol)
+    assert within == validated_radius_batch(stack, None, tol)
+    beyond = exact.copy()
+    beyond[1] += 2.0 * slack * e  # only the second member of the stack is off
+    with pytest.raises(RouteDisagreement, match="index 1"):
+        validated_radius_batch(stack, beyond, tol)
 
 
 def test_radius_montecarlo_lower_envelope():
