@@ -57,6 +57,7 @@ from .errors import (
     DimensionMismatch,
     GelfandDivergence,
     NotABounded,
+    NotFinite,
     NotHermitian,
     NotInBA,
     NotPositive,

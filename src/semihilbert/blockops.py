@@ -7,7 +7,9 @@ route comparisons cannot be polluted by independent eigendecompositions.
 
 Block layout is row-major with contiguous n x n tiles.  A single pair of
 reshape helpers (:func:`flatten` / :func:`split_blocks`) owns the indexing
-convention.
+convention.  Blockwise membership, reduction, adjoint and seminorms are one
+call each to the stacked primitives of :mod:`semihilbert.core` on the
+``(d, d, n, n)`` grid.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
-from .core import Operator, PsdContext, in_ba_half
-from .errors import BadIndex, BlockNotInBA, DimensionMismatch, NotABounded, RaggedBlocks
+from .core import Operator, PsdContext, adjoint_stack, first_failure, reduce_stack, top_singular
+from .errors import BadIndex, BlockNotInBA, DimensionMismatch, NotABounded, NotFinite, RaggedBlocks
 from .radii import a_numerical_radius_many
 
 __all__ = [
@@ -79,6 +81,8 @@ def _as_block_grid(blocks) -> np.ndarray:
         raise RaggedBlocks(f"blocks do not form a uniform grid: {exc}") from exc
     if grid.ndim != 4 or grid.shape[0] != grid.shape[1] or grid.shape[2] != grid.shape[3]:
         raise RaggedBlocks(f"expected a (d, d, n, n) grid, got shape {grid.shape}")
+    if not np.isfinite(grid).all():
+        raise NotFinite("block grid has NaN or infinite entries")
     return grid
 
 
@@ -111,25 +115,18 @@ def split_blocks(m: np.ndarray, d: int) -> np.ndarray:
 
 
 def _require_members(bm: BlockMatrix, tol: ToleranceConfig) -> None:
-    ctx = bm.base_ctx
-    comp = np.eye(ctx.dim) - ctx.proj_range
-    adj = np.conj(np.swapaxes(bm.blocks, -1, -2))
-    resid = np.linalg.svd(comp @ adj @ ctx.a, compute_uv=False)[..., 0]
-    norms = np.linalg.svd(bm.blocks, compute_uv=False)[..., 0]
-    bad = resid > tol.cmp_atol * (1.0 + ctx.norm * norms)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise BlockNotInBA(int(i), int(j))
+    """Raise :class:`BlockNotInBA` naming the first block without a weighted adjoint."""
+    bad = first_failure(bm.base_ctx, bm.blocks, tol)
+    if bad is not None:
+        raise BlockNotInBA(*bad)
 
 
 def block_sharp(bm: BlockMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> BlockMatrix:
     """Blockwise weighted adjoint: output block (i, j) is the adjoint of block (j, i)."""
     _require_members(bm, tol)
-    ctx = bm.base_ctx
-    transposed = np.swapaxes(bm.blocks, 0, 1)
-    out = ctx.pinv_a @ np.conj(np.swapaxes(transposed, -1, -2)) @ ctx.a
+    out = adjoint_stack(bm.base_ctx, np.swapaxes(bm.blocks, 0, 1))
     out.setflags(write=False)
-    return BlockMatrix(d=bm.d, blocks=out, base_ctx=ctx, lifted_ctx=bm.lifted_ctx)
+    return BlockMatrix(d=bm.d, blocks=out, base_ctx=bm.base_ctx, lifted_ctx=bm.lifted_ctx)
 
 
 def u_k(k: int, d: int, ctx: PsdContext) -> BlockMatrix:
@@ -147,68 +144,59 @@ def u_k(k: int, d: int, ctx: PsdContext) -> BlockMatrix:
     return assemble(grid, ctx)
 
 
-def _reduced_grid(bm: BlockMatrix, tol: ToleranceConfig) -> np.ndarray:
-    """Reductions of every block in one batch; raises on a non-bounded block."""
-    ctx = bm.base_ctx
-    comp = np.eye(ctx.dim) - ctx.proj_range
-    resid = np.linalg.svd(ctx.sqrt_a @ bm.blocks @ comp, compute_uv=False)[..., 0]
-    norms = np.linalg.svd(bm.blocks, compute_uv=False)[..., 0]
-    bad = resid > tol.cmp_atol * (1.0 + np.sqrt(ctx.norm) * norms)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise NotABounded(f"block ({i}, {j}) is unbounded for the weighted seminorm")
-    return ctx.sqrt_a @ bm.blocks @ ctx.pinv_sqrt_a
-
-
 def hat_matrix(bm: BlockMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """The d x d matrix of blockwise weighted seminorms."""
-    reduced = _reduced_grid(bm, tol)
-    return np.linalg.svd(reduced, compute_uv=False)[..., 0]
+    bad = first_failure(bm.base_ctx, bm.blocks, tol, half=True)
+    if bad is not None:
+        raise NotABounded(f"block {bad} is unbounded for the weighted seminorm")
+    return top_singular(reduce_stack(bm.base_ctx, bm.blocks))
 
 
-def _entry_operators(entries, shape: str | None = None) -> list[Operator]:
+def _entry_operators(
+    entries, shape: str | None = None, ctx: PsdContext | None = None
+) -> tuple[list[Operator], PsdContext]:
+    """The entries as a list plus their common weight context (``ctx`` if given)."""
     ops = list(entries)
     if not ops:
         raise DimensionMismatch("need at least one entry")
     if shape is not None and shape not in ("diagonal", "antidiagonal"):
         raise ValueError(f"unknown shape {shape!r}")
-    return ops
+    ctx = ctx or ops[0].ctx
+    if not all(ctx.same_weight(op.ctx) for op in ops):
+        raise DimensionMismatch("structured entries must share one weight context")
+    return ops, ctx
 
 
 def structured_norms(entries, shape: str, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Seminorm of a diagonal or antidiagonal block matrix: max of entry seminorms."""
-    ops = _entry_operators(entries, shape)
-    ctx = ops[0].ctx
-    for op in ops:
-        if not in_ba_half(op, tol):
-            raise NotABounded("entry is unbounded for the weighted seminorm")
-    reduced = np.stack([ctx.sqrt_a @ op.t @ ctx.pinv_sqrt_a for op in ops])
-    return float(np.linalg.svd(reduced, compute_uv=False)[..., 0].max())
+    ops, ctx = _entry_operators(entries, shape)
+    mats = np.stack([op.t for op in ops])
+    bad = first_failure(ctx, mats, tol, half=True)
+    if bad is not None:
+        raise NotABounded(f"entry {bad[0]} is unbounded for the weighted seminorm")
+    return float(top_singular(reduce_stack(ctx, mats)).max())
 
 
 def structured_omega(entries, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Numerical radius of a diagonal block matrix: max of entry radii."""
-    ops = _entry_operators(entries, "diagonal")
+    ops, _ = _entry_operators(entries, "diagonal")
     return max(a_numerical_radius_many(ops, tol))
+
+
+def _placed(entries, ctx: PsdContext | None, anti: bool) -> BlockMatrix:
+    ops, ctx = _entry_operators(entries, ctx=ctx)
+    d, n = len(ops), ctx.dim
+    grid = np.zeros((d, d, n, n), dtype=np.complex128)
+    for i, op in enumerate(ops):
+        grid[i, d - 1 - i if anti else i] = op.t
+    return assemble(grid, ctx)
 
 
 def diagonal_block_matrix(entries, ctx: PsdContext | None = None) -> BlockMatrix:
     """Assemble entries T_1 ... T_d on the main diagonal."""
-    ops = _entry_operators(entries)
-    ctx = ctx or ops[0].ctx
-    d, n = len(ops), ctx.dim
-    grid = np.zeros((d, d, n, n), dtype=np.complex128)
-    for i, op in enumerate(ops):
-        grid[i, i] = op.t
-    return assemble(grid, ctx)
+    return _placed(entries, ctx, anti=False)
 
 
 def antidiagonal_block_matrix(entries, ctx: PsdContext | None = None) -> BlockMatrix:
     """Assemble entries on the anti-diagonal, first entry in the top-right corner."""
-    ops = _entry_operators(entries)
-    ctx = ctx or ops[0].ctx
-    d, n = len(ops), ctx.dim
-    grid = np.zeros((d, d, n, n), dtype=np.complex128)
-    for i, op in enumerate(ops):
-        grid[i, d - 1 - i] = op.t
-    return assemble(grid, ctx)
+    return _placed(entries, ctx, anti=True)

@@ -2,9 +2,12 @@
 
 Seven bound evaluators (B1..B7) share one set of intermediates per block
 matrix: blockwise adjoints, blockwise seminorms, diagonal-block radii and
-off-diagonal pair radii.  :func:`evaluate_all` computes the reference
-numerical radius once, evaluates every bound, and reports gaps and holds
-flags with a scale-aware slack.
+off-diagonal pair radii.  The blockwise membership test, adjoints,
+reductions and seminorms are the stacked primitives of
+:mod:`semihilbert.core` applied to the block grid.  :func:`evaluate_all`
+computes the reference numerical radius once, evaluates every bound, and
+:meth:`BoundReport.from_bounds` turns the values into gaps and holds flags
+with a scale-aware slack.
 """
 
 from __future__ import annotations
@@ -15,9 +18,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .blockops import BlockMatrix, flatten
+from .blockops import BlockMatrix, _require_members, flatten
 from .config import DEFAULT_TOL, ToleranceConfig
-from .errors import BlockNotInBA, RouteDisagreement
+from .core import adjoint_stack, reduce_stack, top_singular
+from .errors import RouteDisagreement
 from .radii import a_numerical_radius, offdiag_sup_batch, validated_radius_batch
 
 __all__ = [
@@ -60,6 +64,22 @@ class BoundReport:
     refinement_ok: bool
     timing: dict[str, float]
 
+    @classmethod
+    def from_bounds(
+        cls, instance_id: str, omega: float, bounds: dict, timing: dict, tol: ToleranceConfig
+    ) -> BoundReport:
+        """Report with gaps, hold flags and the B3-below-B7 refinement verdict."""
+        slack = tol.cmp_atol * (1.0 + omega)
+        return cls(
+            instance_id=instance_id,
+            omega=omega,
+            bounds=bounds,
+            gaps={k: v - omega for k, v in bounds.items()},
+            holds={k: omega <= v + slack for k, v in bounds.items()},
+            refinement_ok=bounds["B3_th2"] <= bounds["B7_prior"] + tol.cmp_atol,
+            timing=timing,
+        )
+
     @property
     def all_hold(self) -> bool:
         return all(self.holds.values())
@@ -76,40 +96,25 @@ class _BoundWork:
         self.bm = bm
         self.tol = tol
         self.ctx = bm.base_ctx
-        self._check_membership()
-
-    def _check_membership(self):
-        ctx = self.ctx
-        comp = np.eye(ctx.dim) - ctx.proj_range
-        adj = np.conj(np.swapaxes(self.bm.blocks, -1, -2))
-        resid = np.linalg.svd(comp @ adj @ ctx.a, compute_uv=False)[..., 0]
-        block_norms = np.linalg.svd(self.bm.blocks, compute_uv=False)[..., 0]
-        bad = resid > self.tol.cmp_atol * (1.0 + ctx.norm * block_norms)
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            raise BlockNotInBA(int(i), int(j))
+        _require_members(bm, tol)
 
     @cached_property
     def sharps(self) -> np.ndarray:
         """sharps[i, j] is the weighted adjoint of block (i, j)."""
-        ctx = self.ctx
-        return ctx.pinv_a @ np.conj(np.swapaxes(self.bm.blocks, -1, -2)) @ ctx.a
-
-    def _reduced(self, grid: np.ndarray) -> np.ndarray:
-        return self.ctx.sqrt_a @ grid @ self.ctx.pinv_sqrt_a
+        return adjoint_stack(self.ctx, self.bm.blocks)
 
     @cached_property
     def reduced_blocks(self) -> np.ndarray:
-        return self._reduced(self.bm.blocks)
+        return reduce_stack(self.ctx, self.bm.blocks)
 
     @cached_property
     def reduced_sharps(self) -> np.ndarray:
-        return self._reduced(self.sharps)
+        return reduce_stack(self.ctx, self.sharps)
 
     @cached_property
     def norms(self) -> np.ndarray:
         """Blockwise weighted seminorms as a (d, d) array."""
-        return np.linalg.svd(self.reduced_blocks, compute_uv=False)[..., 0]
+        return top_singular(self.reduced_blocks)
 
     @cached_property
     def diag_omegas(self) -> np.ndarray:
@@ -152,8 +157,7 @@ class _BoundWork:
         products = self.bm.blocks @ self.sharps  # (d, d, n, n): T_ij T_ij^#
         full = products.sum(axis=1)
         without_diag = full - products[np.arange(d), np.arange(d)]
-        stacked = self._reduced(np.concatenate([full, without_diag]))
-        sig = np.linalg.svd(stacked, compute_uv=False)[..., 0]
+        sig = top_singular(reduce_stack(self.ctx, np.concatenate([full, without_diag])))
         return sig[:d], sig[d:]
 
     @cached_property
@@ -164,8 +168,15 @@ class _BoundWork:
         diag_sharp = self.sharps[np.arange(d), np.arange(d)]
         re = (diag + diag_sharp) / 2.0
         im = (diag - diag_sharp) / 2.0j
-        sig = np.linalg.svd(self._reduced(np.concatenate([re, im])), compute_uv=False)[..., 0]
+        sig = top_singular(reduce_stack(self.ctx, np.concatenate([re, im])))
         return sig[:d], sig[d:]
+
+    @cached_property
+    def offdiag_sq_rows(self) -> np.ndarray:
+        """Per-row sums of squared off-diagonal blockwise seminorms."""
+        sq = self.norms**2
+        np.fill_diagonal(sq, 0.0)
+        return sq.sum(axis=1)
 
     def thf1(self) -> float:
         full, _ = self.row_cross_norms
@@ -188,16 +199,11 @@ class _BoundWork:
         return float(np.abs(np.linalg.eigvalsh(t + t.T)).max() / 2.0)
 
     def diag_offdiag(self) -> float:
-        sq = self.norms**2
-        np.fill_diagonal(sq, 0.0)
-        cross = sq.sum(axis=1)
         w = self.diag_omegas
-        return float(0.5 * (w + np.sqrt(w**2 + cross)).sum())
+        return float(0.5 * (w + np.sqrt(w**2 + self.offdiag_sq_rows)).sum())
 
     def re_im(self) -> float:
-        sq = self.norms**2
-        np.fill_diagonal(sq, 0.0)
-        cross = sq.sum(axis=1)
+        cross = self.offdiag_sq_rows
         re, im = self.re_im_norms
         lam = re + np.sqrt(re**2 + cross)
         mu = im + np.sqrt(im**2 + cross)
@@ -276,16 +282,4 @@ def evaluate_all(
         bounds[key] = method(work)
         timing[key] = time.perf_counter() - t0
 
-    slack = tol.cmp_atol * (1.0 + omega)
-    gaps = {k: v - omega for k, v in bounds.items()}
-    holds = {k: omega <= v + slack for k, v in bounds.items()}
-    refinement_ok = bounds["B3_th2"] <= bounds["B7_prior"] + tol.cmp_atol
-    return BoundReport(
-        instance_id=instance_id,
-        omega=omega,
-        bounds=bounds,
-        gaps=gaps,
-        holds=holds,
-        refinement_ok=refinement_ok,
-        timing=timing,
-    )
+    return BoundReport.from_bounds(instance_id, omega, bounds, timing, tol)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -129,20 +130,10 @@ def run_campaign(cfg: CampaignConfig) -> CampaignResult:
     reports = [r[1] for r in rows]
     invariant_failures = {r[0]: r[2] for r in rows if r[2]}
 
-    bound_violations = {k: 0 for k in BOUND_KEYS}
-    refinement_failures = 0
-    min_gap = {k: float("inf") for k in BOUND_KEYS}
-    for rep in reports:
-        for k in BOUND_KEYS:
-            if not rep.holds[k]:
-                bound_violations[k] += 1
-            min_gap[k] = min(min_gap[k], rep.gaps[k])
-        if not rep.refinement_ok:
-            refinement_failures += 1
-    invariant_violations: dict[str, int] = {}
-    for names in invariant_failures.values():
-        for name in names:
-            invariant_violations[name] = invariant_violations.get(name, 0) + 1
+    bound_violations = {k: sum(not r.holds[k] for r in reports) for k in BOUND_KEYS}
+    min_gap = {k: min((r.gaps[k] for r in reports), default=float("inf")) for k in BOUND_KEYS}
+    refinement_failures = sum(not r.refinement_ok for r in reports)
+    invariant_violations = dict(Counter(n for names in invariant_failures.values() for n in names))
 
     violations = (
         sum(bound_violations.values())

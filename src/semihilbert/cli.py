@@ -14,6 +14,7 @@ over the config file).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -38,13 +39,7 @@ from .serialize import (
 
 ENV_PREFIX = "SEMIHILBERT_"
 
-_TOL_FLAGS = {
-    "rank_rtol": float,
-    "cmp_atol": float,
-    "theta_samples": int,
-    "theta_refine_tol": float,
-    "gelfand_max_power": int,
-}
+_TOL_FLAGS = {f.name: type(f.default) for f in dataclasses.fields(ToleranceConfig)}
 
 
 def _env(name: str):

@@ -12,6 +12,11 @@ spectral radius equal to the A-weighted ones of ``T``, so weighted
 quantities come out of ordinary dense linear algebra.  The map is
 multiplicative on A-bounded operators and sends the weighted adjoint to the
 conjugate transpose, which the test suite exploits as an oracle.
+
+Each formula has one home, a primitive on stacks ``(..., n, n)`` that covers
+one operator or a whole block grid in one call: :func:`top_singular`, the
+membership tests :func:`first_failure`, :func:`reduce_stack` and
+:func:`adjoint_stack`.  The per-operator functions are checked calls over them.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .errors import (
     ABoundednessWarning,
     DimensionMismatch,
     NotABounded,
+    NotFinite,
     NotHermitian,
     NotInBA,
     NotPositive,
@@ -45,6 +51,10 @@ __all__ = [
     "reduce",
     "a_op_norm",
     "spectral_norm",
+    "top_singular",
+    "first_failure",
+    "reduce_stack",
+    "adjoint_stack",
 ]
 
 
@@ -52,14 +62,21 @@ def _as_square_complex(a) -> np.ndarray:
     m = np.array(a, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise NotFinite("matrix has NaN or infinite entries")
     return m
+
+
+def top_singular(mats: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix in a stack of shape ``(..., m, n)``."""
+    return np.linalg.svd(mats, compute_uv=False)[..., 0]
 
 
 def spectral_norm(m: np.ndarray) -> float:
     """Largest singular value; 0.0 for empty input."""
     if m.size == 0:
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    return float(top_singular(m))
 
 
 def _frozen(m: np.ndarray) -> np.ndarray:
@@ -94,6 +111,10 @@ class PsdContext:
     def norm(self) -> float:
         """Largest eigenvalue of the weight matrix."""
         return float(self.eigvals[0])
+
+    def same_weight(self, other: PsdContext) -> bool:
+        """True when both contexts carry the same weight matrix."""
+        return self.dim == other.dim and np.array_equal(self.a, other.a)
 
 
 def from_spectrum(eigvals: np.ndarray, eigvecs: np.ndarray, fn) -> np.ndarray:
@@ -180,27 +201,47 @@ def semi_norm(x, ctx: PsdContext) -> float:
     return math.sqrt(max(val, 0.0))
 
 
-def in_ba(op: Operator, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True when the operator admits a weighted adjoint.
+def first_failure(
+    ctx: PsdContext, mats: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL, half: bool = False
+) -> tuple[int, ...] | None:
+    """Index of the first matrix in a stack ``(..., n, n)`` failing membership, else None.
 
-    The exact condition is range(T* A) inside range(A); numerically we test
-    the residual ||(I - P) T* A|| against a slack scaled by ||A|| ||T||.
+    Admitting a weighted adjoint, range(T* A) inside range(A), is the residual
+    ||(I - P) T* A|| against a slack scaled by ||A|| ||T||; with ``half`` the
+    test is boundedness for the seminorm, ||A^{1/2} T (I - P)|| against
+    ||A||^{1/2} ||T||.  A single failing matrix gives ``()``.
     """
-    ctx = op.ctx
-    resid = (np.eye(ctx.dim) - ctx.proj_range) @ op.t.conj().T @ ctx.a
-    return spectral_norm(resid) <= tol.cmp_atol * (1.0 + ctx.norm * spectral_norm(op.t))
+    comp = np.eye(ctx.dim) - ctx.proj_range
+    if half:
+        resid = ctx.sqrt_a @ mats @ comp
+        scale = math.sqrt(ctx.norm)
+    else:
+        resid = comp @ np.conj(np.swapaxes(mats, -1, -2)) @ ctx.a
+        scale = ctx.norm
+    bad = top_singular(resid) > tol.cmp_atol * (1.0 + scale * top_singular(mats))
+    if not bad.any():
+        return None
+    return tuple(int(k) for k in np.argwhere(bad)[0])
+
+
+def reduce_stack(ctx: PsdContext, mats: np.ndarray) -> np.ndarray:
+    """Reductions ``A^{1/2} T (A^{1/2})^+`` of a stack ``(..., n, n)``, unchecked."""
+    return ctx.sqrt_a @ mats @ ctx.pinv_sqrt_a
+
+
+def adjoint_stack(ctx: PsdContext, mats: np.ndarray) -> np.ndarray:
+    """Weighted adjoints ``A^+ T* A`` of a stack ``(..., n, n)``, unchecked."""
+    return ctx.pinv_a @ np.conj(np.swapaxes(mats, -1, -2)) @ ctx.a
+
+
+def in_ba(op: Operator, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+    """True when the operator admits a weighted adjoint (see :func:`first_failure`)."""
+    return first_failure(op.ctx, op.t, tol) is None
 
 
 def in_ba_half(op: Operator, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True when the operator is bounded for the weighted seminorm.
-
-    Equivalent to ``A^{1/2} T`` vanishing on the null space of ``A``; tested
-    as a scaled residual on ``A^{1/2} T (I - P)``.
-    """
-    ctx = op.ctx
-    resid = ctx.sqrt_a @ op.t @ (np.eye(ctx.dim) - ctx.proj_range)
-    bound = math.sqrt(ctx.norm) * spectral_norm(op.t)
-    return spectral_norm(resid) <= tol.cmp_atol * (1.0 + bound)
+    """True when the operator is bounded for the weighted seminorm."""
+    return first_failure(op.ctx, op.t, tol, half=True) is None
 
 
 def a_adjoint(op: Operator, tol: ToleranceConfig = DEFAULT_TOL) -> Operator:
@@ -211,7 +252,7 @@ def a_adjoint(op: Operator, tol: ToleranceConfig = DEFAULT_TOL) -> Operator:
     """
     if not in_ba(op, tol):
         raise NotInBA("operator does not admit a weighted adjoint")
-    return Operator(op.ctx.pinv_a @ op.t.conj().T @ op.ctx.a, op.ctx)
+    return Operator(adjoint_stack(op.ctx, op.t), op.ctx)
 
 
 def reduce(op: Operator, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -223,13 +264,13 @@ def reduce(op: Operator, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """
     if not in_ba_half(op, tol):
         raise NotABounded("operator is unbounded for the weighted seminorm")
-    return op.ctx.sqrt_a @ op.t @ op.ctx.pinv_sqrt_a
+    return reduce_stack(op.ctx, op.t)
 
 
 def a_op_norm(op: Operator, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Weighted operator seminorm sup{||Tx||_A : ||x||_A = 1}.
 
-    Computed as the largest singular value of :func:`reduce`.  A non-bounded
+    Computed as the largest singular value of the reduction.  A non-bounded
     operator yields ``math.inf`` plus an :class:`ABoundednessWarning` so that
     generator mistakes surface in reports instead of crashing them.
     """
@@ -240,4 +281,4 @@ def a_op_norm(op: Operator, tol: ToleranceConfig = DEFAULT_TOL) -> float:
             stacklevel=2,
         )
         return math.inf
-    return spectral_norm(op.ctx.sqrt_a @ op.t @ op.ctx.pinv_sqrt_a)
+    return spectral_norm(reduce_stack(op.ctx, op.t))

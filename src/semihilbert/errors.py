@@ -21,6 +21,10 @@ class DimensionMismatch(SemiHilbertError):
     """Vector or matrix dimensions are incompatible with the context."""
 
 
+class NotFinite(SemiHilbertError):
+    """Input matrix has NaN or infinite entries."""
+
+
 class NotInBA(SemiHilbertError):
     """Operator does not admit a weighted adjoint (range condition fails)."""
 

@@ -137,18 +137,13 @@ def gen_a_unitary(
             b[r:, r:] = _ginibre(rng, n - r, n - r)
         u = Operator(ctx.eigvecs @ b @ ctx.eigvecs.conj().T, ctx)
         sharp = a_adjoint(u, tol)
-        ok = True
         for _ in range(_UNITARY_PROBES):
             x = _ginibre(rng, n, 1).reshape(-1)
             ref = semi_norm(x, ctx)
             slack = tol.cmp_atol * (1.0 + ref)
-            if abs(semi_norm(u.t @ x, ctx) - ref) > slack:
-                ok = False
+            if any(abs(semi_norm(m @ x, ctx) - ref) > slack for m in (u.t, sharp.t)):
                 break
-            if abs(semi_norm(sharp.t @ x, ctx) - ref) > slack:
-                ok = False
-                break
-        if ok:
+        else:
             return u
     raise ConstructionFailed("weighted-unitary verification failed on all attempts")
 

@@ -27,13 +27,7 @@ from .circle import (
     sup_on_circle_batch,
 )
 from .config import DEFAULT_TOL, ToleranceConfig
-from .core import (
-    Operator,
-    a_adjoint,
-    in_ba,
-    reduce,
-    spectral_norm,
-)
+from .core import Operator, a_adjoint, in_ba, reduce, spectral_norm, top_singular
 from .errors import DimensionMismatch, GelfandDivergence, NotInBA, RouteDisagreement
 
 __all__ = [
@@ -121,7 +115,7 @@ def _check_adjoint_identity(
     reduced: np.ndarray, sharp_reduced: np.ndarray, tol: ToleranceConfig
 ) -> None:
     diff = sharp_reduced - np.conj(np.swapaxes(reduced, -1, -2))
-    resid, scale = np.linalg.svd(np.stack([diff, reduced]), compute_uv=False)[..., 0]
+    resid, scale = top_singular(np.stack([diff, reduced]))
     bad = np.flatnonzero(resid > tol.cmp_atol * (1.0 + scale))
     if bad.size:
         k = bad[0]
@@ -169,7 +163,7 @@ def gelfand_envelope(op: Operator, tol: ToleranceConfig = DEFAULT_TOL) -> np.nda
 def _gelfand_from_reduced(reduced: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     top = spectral_norm(reduced)
     if top == 0.0:
-        return np.zeros(_num_powers(tol.gelfand_max_power))
+        return np.zeros(tol.gelfand_max_power.bit_length())
     m = reduced / top
     vals = [top]
     power = 1
@@ -178,10 +172,6 @@ def _gelfand_from_reduced(reduced: np.ndarray, tol: ToleranceConfig) -> np.ndarr
         power *= 2
         vals.append(top * spectral_norm(m) ** (1.0 / power))
     return np.asarray(vals)
-
-
-def _num_powers(max_power: int) -> int:
-    return max_power.bit_length()
 
 
 def a_spectral_radius(op: Operator, tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -220,7 +210,7 @@ def omega_offdiag_many(
     if not pairs:
         return []
     for t, s in pairs:
-        if t.ctx.dim != s.ctx.dim or not np.array_equal(t.ctx.a, s.ctx.a):
+        if not t.ctx.same_weight(s.ctx):
             raise DimensionMismatch("paired operators must share a weight context")
         if not in_ba(t, tol):
             raise NotInBA("left operator does not admit a weighted adjoint")

@@ -9,6 +9,7 @@ repeated runs with identical configuration are byte-identical.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 
@@ -76,13 +77,7 @@ def block_matrix_from_json(data: dict, tol: ToleranceConfig = DEFAULT_TOL) -> Bl
 
 
 def tolerance_to_json(tol: ToleranceConfig) -> dict:
-    return {
-        "rank_rtol": tol.rank_rtol,
-        "cmp_atol": tol.cmp_atol,
-        "theta_samples": tol.theta_samples,
-        "theta_refine_tol": tol.theta_refine_tol,
-        "gelfand_max_power": tol.gelfand_max_power,
-    }
+    return dataclasses.asdict(tol)
 
 
 def tolerance_from_json(data: dict | None) -> ToleranceConfig:

@@ -1,13 +1,11 @@
 """Shared helpers for the test suite."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 import semihilbert.campaign as campaign
 from semihilbert import Operator, make_context
-from semihilbert.bounds import BOUND_KEYS
+from semihilbert.bounds import BOUND_KEYS, BoundReport
 from semihilbert.generators import gen_compatible, gen_psd
 
 
@@ -40,7 +38,7 @@ def corrupt_bound(monkeypatch, key):
     """Make the campaign's evaluator report bound ``key`` far below the radius.
 
     Exercises the violation plumbing of serial campaigns and ``verify``; the
-    other bounds, gaps and verdicts are recomputed as the evaluator would.
+    gaps and verdicts are rebuilt by the evaluator's own ``from_bounds``.
     """
     if key not in BOUND_KEYS:
         raise ValueError(f"unknown bound key {key!r}")
@@ -49,13 +47,6 @@ def corrupt_bound(monkeypatch, key):
     def corrupted(bm, tol, instance_id):
         report = evaluate(bm, tol, instance_id=instance_id)
         bounds = dict(report.bounds, **{key: report.omega / 2.0 - 1.0})
-        slack = tol.cmp_atol * (1.0 + report.omega)
-        return replace(
-            report,
-            bounds=bounds,
-            gaps={k: v - report.omega for k, v in bounds.items()},
-            holds={k: report.omega <= v + slack for k, v in bounds.items()},
-            refinement_ok=bounds["B3_th2"] <= bounds["B7_prior"] + tol.cmp_atol,
-        )
+        return BoundReport.from_bounds(instance_id, report.omega, bounds, report.timing, tol)
 
     monkeypatch.setattr(campaign, "evaluate_all", corrupted)

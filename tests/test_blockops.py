@@ -6,6 +6,8 @@ import pytest
 from semihilbert import (
     BadIndex,
     BlockNotInBA,
+    DimensionMismatch,
+    NotABounded,
     Operator,
     RaggedBlocks,
     a_adjoint,
@@ -223,6 +225,41 @@ def test_structured_norms_diagonal_example():
     t5 = Operator(np.diag([5.0, 0.0]), ctx)
     assert structured_norms([t2, t5], "diagonal") == pytest.approx(5.0)
     assert structured_norms([t2, t5], "antidiagonal") == pytest.approx(5.0)
+
+
+def test_structured_entries_must_share_one_weight():
+    # the same matrix is a contraction for I and has seminorm 2 for diag(4, 1)
+    t1 = Operator([[0, 1], [0, 0]], make_context(np.eye(2)))
+    t2 = Operator([[0, 1], [0, 0]], make_context(np.diag([4.0, 1.0])))
+    for entries in ([t1, t2], [t2, t1]):
+        with pytest.raises(DimensionMismatch):
+            structured_norms(entries, "diagonal")
+        with pytest.raises(DimensionMismatch):
+            structured_omega(entries)
+        with pytest.raises(DimensionMismatch):
+            diagonal_block_matrix(entries)
+        with pytest.raises(DimensionMismatch):
+            antidiagonal_block_matrix(entries)
+    with pytest.raises(DimensionMismatch):
+        diagonal_block_matrix([t1, t1], ctx=t2.ctx)
+    assert structured_norms([t2, t2], "diagonal") == pytest.approx(2.0)
+
+
+def test_structured_norms_names_unbounded_entry():
+    ctx = make_context(np.diag([1.0, 0.0]))
+    good = Operator(np.eye(2), ctx)
+    bad = Operator([[0, 1], [0, 0]], ctx)  # maps null into range
+    with pytest.raises(NotABounded, match="entry 1 "):
+        structured_norms([good, bad, good], "diagonal")
+
+
+def test_hat_matrix_names_unbounded_block():
+    ctx = make_context(np.diag([1.0, 0.0]))
+    grid = np.zeros((3, 3, 2, 2), dtype=complex)
+    grid[0, 0] = np.eye(2)
+    grid[2, 1] = grid[2, 2] = np.array([[0, 1], [0, 0]])  # map null into range
+    with pytest.raises(NotABounded, match=r"block \(2, 1\) "):
+        hat_matrix(assemble(grid, ctx))
 
 
 def test_structured_matches_assembled():

@@ -176,8 +176,9 @@ def test_bounds_reject_nonmember_blocks():
     with pytest.raises(BlockNotInBA) as err:
         bound_thf1(bm)
     assert err.value.index == (0, 1)
-    with pytest.raises(BlockNotInBA):
+    with pytest.raises(BlockNotInBA, match=r"block \(0, 1\) ") as err:
         evaluate_all(bm)
+    assert err.value.index == (0, 1)
 
 
 def test_report_structure_and_timing(witness):

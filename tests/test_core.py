@@ -1,5 +1,6 @@
 """Contexts, membership, adjoints and the reduction map."""
 
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from semihilbert import (
     ABoundednessWarning,
     DimensionMismatch,
     NotABounded,
+    NotFinite,
     NotHermitian,
     NotInBA,
     NotPositive,
@@ -16,6 +18,7 @@ from semihilbert import (
     ZeroOperator,
     a_adjoint,
     a_op_norm,
+    assemble,
     in_ba,
     in_ba_half,
     make_context,
@@ -23,7 +26,9 @@ from semihilbert import (
     semi_inner,
     semi_norm,
 )
+from semihilbert.core import first_failure
 from semihilbert.generators import gen_compatible, gen_psd
+from semihilbert.serialize import matrix_from_json
 
 from conftest import a_unit_samples, random_member
 
@@ -289,3 +294,70 @@ def test_seminorm_attained_on_weighted_pairs():
         aligned = np.abs(np.einsum("ki,ij,kj->k", unit.conj(), ctx.a, tx[keep]))
         assert aligned.max() <= norm + 1e-9
         assert aligned.max() >= norm - 1e-3 * (1.0 + norm)
+
+
+# ------------------------------------------------------ stacked primitives
+
+
+def planted_stack(ctx, shape, bad, seed):
+    """Members of B_A in a stack of the given batch shape, with non-members
+    at the flat positions ``bad`` (their null -> range eigenbasis block is set)."""
+    rng = np.random.default_rng(seed)
+    count = int(np.prod(shape))
+    mats = np.stack([gen_compatible(ctx, seed * 100 + k).t for k in range(count)])
+    r, v = ctx.rank, ctx.eigvecs
+    for k in bad:
+        leak = np.zeros((ctx.dim, ctx.dim), dtype=complex)
+        leak[:r, r:] = rng.standard_normal((r, ctx.dim - r)) + 1.0
+        mats[k] += v @ leak @ v.conj().T
+    return mats.reshape(*shape, ctx.dim, ctx.dim)
+
+
+@pytest.mark.parametrize("half", [False, True])
+def test_first_failure_agrees_with_per_matrix_tests(half):
+    per_matrix = in_ba_half if half else in_ba
+    rng = np.random.default_rng(11)
+    for seed in range(12):
+        ctx = gen_psd(4, 2 + seed % 2, seed)
+        shape = (3, 3) if seed % 2 else (7,)
+        count = int(np.prod(shape))
+        bad = sorted(rng.choice(count, size=seed % 3, replace=False).tolist())
+        mats = planted_stack(ctx, shape, bad, seed)
+        flags = [per_matrix(Operator(m, ctx)) for m in mats.reshape(-1, 4, 4)]
+        assert [k for k, ok in enumerate(flags) if not ok] == bad
+        expected = np.unravel_index(bad[0], shape) if bad else None
+        assert first_failure(ctx, mats, half=half) == expected
+        for k in range(count):
+            single = first_failure(ctx, mats.reshape(-1, 4, 4)[k], half=half)
+            assert single == (None if flags[k] else ())
+
+
+# ------------------------------------------------------------ finite input
+
+
+def _nonfinite_make_context(bad):
+    make_context(bad)
+
+
+def _nonfinite_operator(bad):
+    Operator(bad, make_context(np.eye(2)))
+
+
+def _nonfinite_assemble(bad):
+    assemble([[bad, np.eye(2)], [np.eye(2), bad]], make_context(np.eye(2)))
+
+
+def _nonfinite_json(bad):
+    text = json.dumps([[[float(z.real), float(z.imag)] for z in row] for row in bad])
+    make_context(matrix_from_json(json.loads(text)))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "entry", [_nonfinite_make_context, _nonfinite_operator, _nonfinite_assemble, _nonfinite_json]
+)
+def test_nonfinite_input_is_rejected(entry, value):
+    bad = np.eye(2, dtype=complex)
+    bad[0, 1] = value
+    with pytest.raises(NotFinite, match="NaN or infinite"):
+        entry(bad)

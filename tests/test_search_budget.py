@@ -1,4 +1,5 @@
-"""Each weighted radius costs one circle search; counted at every import site."""
+"""Each weighted radius costs one circle search, and each block matrix one
+blockwise adjoint test; both counted at every import site."""
 
 import importlib
 import pkgutil
@@ -8,9 +9,25 @@ import pytest
 import semihilbert
 from semihilbert import a_numerical_radius, evaluate_all
 from semihilbert.circle import sup_on_circle_batch
+from semihilbert.core import first_failure
 
 from conftest import random_member
 from test_blockops import random_block_matrix
+
+
+def patch_everywhere(monkeypatch, fn, replacement) -> int:
+    """Replace ``fn`` in every package module that holds it; return the site count."""
+    modules = [semihilbert] + [
+        importlib.import_module(f"semihilbert.{info.name}")
+        for info in pkgutil.iter_modules(semihilbert.__path__)
+    ]
+    sites = 0
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if value is fn:
+                monkeypatch.setattr(module, attr, replacement)
+                sites += 1
+    return sites
 
 
 @pytest.fixture
@@ -22,17 +39,7 @@ def searches(monkeypatch):
         calls.append(count)
         return sup_on_circle_batch(evaluate, count, tol)
 
-    modules = [semihilbert] + [
-        importlib.import_module(f"semihilbert.{info.name}")
-        for info in pkgutil.iter_modules(semihilbert.__path__)
-    ]
-    sites = 0
-    for module in modules:
-        for attr, value in list(vars(module).items()):
-            if value is sup_on_circle_batch:
-                monkeypatch.setattr(module, attr, counted)
-                sites += 1
-    assert sites >= 2  # its own module and the radii
+    assert patch_everywhere(monkeypatch, sup_on_circle_batch, counted) >= 2
     return calls
 
 
@@ -46,3 +53,16 @@ def test_evaluate_all_makes_three_searches(searches):
     # the flattened radius, the diagonal radii and the pair radii; B3 is closed form
     evaluate_all(random_block_matrix(3, 2, 1, seed=9))
     assert len(searches) == 3
+
+
+def test_evaluate_all_tests_blockwise_adjoint_membership_once(monkeypatch):
+    grids = []  # batch shape of every adjoint-membership test on a block grid
+
+    def counted(ctx, mats, tol=semihilbert.DEFAULT_TOL, half=False):
+        if not half and mats.ndim == 4:
+            grids.append(mats.shape[:2])
+        return first_failure(ctx, mats, tol, half)
+
+    assert patch_everywhere(monkeypatch, first_failure, counted) >= 2
+    evaluate_all(random_block_matrix(3, 2, 1, seed=9))
+    assert grids == [(3, 3)]
