@@ -14,8 +14,11 @@ class ToleranceConfig:
                       exactly zero
     cmp_atol          slack used by inequality and membership checks,
                       always scaled by the magnitude of the operands
-    theta_samples     number of uniform grid points on [0, 2*pi) for the
-                      circle-parameter suprema
+    theta_samples     grid resolution of the circle-parameter suprema: the
+                      grid spacing is at most 2*pi / theta_samples, so a
+                      full-circle search samples theta_samples points and
+                      a pi-periodic objective (every radius) samples [0, pi)
+                      with half of them (rounded up)
     theta_refine_tol  bracket width at which golden-section refinement stops
     gelfand_max_power largest operator power used by the spectral-radius
                       cross-check

@@ -10,6 +10,12 @@ signals a membership or implementation bug and raises
     sup_theta || (e^{i theta} T + e^{-i theta} T^#) / 2 ||_A
 
 stays available as an independent route, :func:`omega_real_part_sup`.
+
+Every searched objective has period pi (the operator at theta + pi is the
+negative of the one at theta), so every search samples only [0, pi): the
+numerical radius maximizes ``||H(theta)||_2``, the largest |lambda| of the
+rotated Hermitian part, which over [0, pi) reaches the full-circle
+supremum of ``lambda_max``.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ def classical_numerical_radius(m, tol: ToleranceConfig = DEFAULT_TOL) -> ThetaSe
     mats = np.asarray(m, dtype=np.complex128)[None]
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {mats.shape[1:]}")
-    return sup_on_circle_batch(rotation_eig_objective(mats), 1, tol)[0]
+    return sup_on_circle_batch(rotation_eig_objective(mats), 1, tol, period=math.pi)[0]
 
 
 def classical_spectral_radius(m) -> float:
@@ -88,7 +94,7 @@ def omega_real_part_sup(op: Operator, tol: ToleranceConfig = DEFAULT_TOL) -> The
     reduced = reduce(op, tol)
     sharp_reduced = reduce(a_adjoint(op, tol), tol)
     objective = phase_combo_norm_objective(reduced[None] / 2.0, sharp_reduced[None] / 2.0)
-    return sup_on_circle_batch(objective, 1, tol)[0]
+    return sup_on_circle_batch(objective, 1, tol, period=math.pi)[0]
 
 
 def validated_radius_batch(
@@ -100,14 +106,17 @@ def validated_radius_batch(
     the reductions S of their weighted adjoints (or None to skip the check).
     Every pair must satisfy ``||S - R^*|| <= cmp_atol (1 + ||R||)``, or
     :class:`RouteDisagreement` is raised.  Under the identity the
-    rotated-real-part objective ``sigma_max(e^{it} R + e^{-it} S) / 2`` has
-    the same supremum as the searched ``lambda_max`` objective (sigma_max of
-    a Hermitian matrix is its largest |lambda|, and H(t + pi) = -H(t)), so
-    the check replaces a second search over the former.
+    rotated-real-part objective ``sigma_max(e^{it} R + e^{-it} S) / 2`` equals
+    the searched objective, the largest |lambda| of the rotated Hermitian part
+    H(t) (sigma_max of a Hermitian matrix is its largest |lambda|), so the
+    check replaces a second search over the former.  Since H(t + pi) = -H(t),
+    the search covers [0, pi).
     """
     if sharp_reduced is not None:
         _check_adjoint_identity(reduced, sharp_reduced, tol)
-    results = sup_on_circle_batch(rotation_eig_objective(reduced), len(reduced), tol)
+    results = sup_on_circle_batch(
+        rotation_eig_objective(reduced), len(reduced), tol, period=math.pi
+    )
     return [r.value for r in results]
 
 
@@ -196,9 +205,12 @@ def a_spectral_radius(op: Operator, tol: ToleranceConfig = DEFAULT_TOL) -> float
 def offdiag_sup_batch(
     lefts: np.ndarray, rights: np.ndarray, tol: ToleranceConfig
 ) -> list[float]:
-    """Halved suprema of sigma_max(e^{i t} L + e^{-i t} R) for reduced stacks."""
+    """Halved suprema of sigma_max(e^{i t} L + e^{-i t} R) for reduced stacks.
+
+    The objective has period pi, so the search covers [0, pi).
+    """
     results = sup_on_circle_batch(
-        phase_combo_norm_objective(lefts, rights), len(lefts), tol
+        phase_combo_norm_objective(lefts, rights), len(lefts), tol, period=math.pi
     )
     return [r.value / 2.0 for r in results]
 

@@ -1,5 +1,5 @@
-"""Each weighted radius costs one circle search, and each block matrix one
-blockwise adjoint test; both counted at every import site."""
+"""Each weighted radius costs one circle search over half the circle, and each
+block matrix one blockwise adjoint test; all counted at every import site."""
 
 import importlib
 import pkgutil
@@ -7,9 +7,10 @@ import pkgutil
 import pytest
 
 import semihilbert
-from semihilbert import a_numerical_radius, evaluate_all
+from semihilbert import ToleranceConfig, a_numerical_radius, evaluate_all
 from semihilbert.circle import sup_on_circle_batch
 from semihilbert.core import first_failure
+from semihilbert.radii import classical_numerical_radius, omega_real_part_sup
 
 from conftest import random_member
 from test_blockops import random_block_matrix
@@ -35,9 +36,9 @@ def searches(monkeypatch):
     """Count calls of sup_on_circle_batch through every module that holds it."""
     calls = []
 
-    def counted(evaluate, count, tol=semihilbert.DEFAULT_TOL):
+    def counted(evaluate, count, *args, **kwargs):
         calls.append(count)
-        return sup_on_circle_batch(evaluate, count, tol)
+        return sup_on_circle_batch(evaluate, count, *args, **kwargs)
 
     assert patch_everywhere(monkeypatch, sup_on_circle_batch, counted) >= 2
     return calls
@@ -53,6 +54,32 @@ def test_evaluate_all_makes_three_searches(searches):
     # the flattened radius, the diagonal radii and the pair radii; B3 is closed form
     evaluate_all(random_block_matrix(3, 2, 1, seed=9))
     assert len(searches) == 3
+
+
+def test_every_radius_search_samples_half_the_circle(monkeypatch):
+    # every radius objective has period pi: m/2 + 6 + 3(N - 1) + 3 angles per
+    # problem, 157 at the campaign tolerance and 665 at the default
+    angles = []  # objective angles per problem, one entry per search
+
+    def counted(evaluate, count, *args, **kwargs):
+        seen = []
+
+        def objective(thetas):
+            seen.append(thetas.shape[1])
+            return evaluate(thetas)
+
+        results = sup_on_circle_batch(objective, count, *args, **kwargs)
+        angles.append(sum(seen))
+        return results
+
+    assert patch_everywhere(monkeypatch, sup_on_circle_batch, counted) >= 2
+    campaign_tol = ToleranceConfig(theta_samples=128, theta_refine_tol=1e-7)
+    evaluate_all(random_block_matrix(3, 2, 1, seed=9), campaign_tol)
+    _, t = random_member(4, 3, seed=9)
+    a_numerical_radius(t)
+    omega_real_part_sup(t)
+    classical_numerical_radius(t.t)
+    assert angles == [157] * 3 + [665] * 3
 
 
 def test_evaluate_all_tests_blockwise_adjoint_membership_once(monkeypatch):
