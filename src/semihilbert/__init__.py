@@ -21,18 +21,7 @@ from .blockops import (
     structured_omega,
     u_k,
 )
-from .bounds import (
-    BOUND_KEYS,
-    BoundReport,
-    bound_diag_offdiag,
-    bound_maxdiag,
-    bound_prior,
-    bound_r2,
-    bound_re_im,
-    bound_th2,
-    bound_thf1,
-    evaluate_all,
-)
+from .bounds import BOUND_KEYS, BoundReport, InstanceWork, evaluate_all
 from .campaign import CampaignConfig, CampaignResult, run_campaign
 from .circle import ThetaSearchResult, sup_on_circle, sup_on_circle_batch
 from .config import DEFAULT_TOL, ToleranceConfig

@@ -1,13 +1,14 @@
 """Upper bounds on the numerical radius of a block operator matrix.
 
-Seven bound evaluators (B1..B7) share one set of intermediates per block
-matrix: blockwise adjoints, blockwise seminorms, diagonal-block radii and
-off-diagonal pair radii.  The blockwise membership test, adjoints,
-reductions and seminorms are the stacked primitives of
-:mod:`semihilbert.core` applied to the block grid.  :func:`evaluate_all`
-computes the reference numerical radius once, evaluates every bound, and
-:meth:`BoundReport.from_bounds` turns the values into gaps and holds flags
-with a scale-aware slack.
+One :class:`InstanceWork` per block matrix holds every intermediate that the
+seven bounds (B1..B7) and the campaign's invariants read, each computed once
+on first use: the blockwise adjoints, reductions and seminorms (the stacked
+primitives of :mod:`semihilbert.core` applied to the block grid), the
+diagonal-block and off-diagonal pair radii, and the flattened operator's
+reduction, weighted adjoint and numerical radius.  The bounds are its
+methods; :meth:`InstanceWork.report` evaluates all of them against the
+radius and turns the values into gaps and hold flags with a scale-aware
+slack.  :func:`evaluate_all` is the one-call entry point.
 """
 
 from __future__ import annotations
@@ -20,22 +21,11 @@ import numpy as np
 
 from .blockops import BlockMatrix, _require_members, flatten
 from .config import DEFAULT_TOL, ToleranceConfig
-from .core import adjoint_stack, reduce_stack, top_singular
+from .core import Operator, a_adjoint, adjoint_stack, reduce, reduce_stack, top_singular
 from .errors import RouteDisagreement
-from .radii import a_numerical_radius, offdiag_sup_batch, validated_radius_batch
+from .radii import offdiag_sup_batch, validated_radius_batch
 
-__all__ = [
-    "BOUND_KEYS",
-    "BoundReport",
-    "bound_thf1",
-    "bound_r2",
-    "bound_th2",
-    "bound_prior",
-    "bound_diag_offdiag",
-    "bound_re_im",
-    "bound_maxdiag",
-    "evaluate_all",
-]
+__all__ = ["BOUND_KEYS", "BoundReport", "InstanceWork", "evaluate_all"]
 
 BOUND_KEYS = (
     "B1_thf1",
@@ -52,8 +42,10 @@ BOUND_KEYS = (
 class BoundReport:
     """Per-instance record of the radius, every bound, gaps and verdicts.
 
-    ``timing`` holds incremental seconds per quantity; intermediates shared
-    between bounds are charged to the first bound that needs them.
+    Built by :meth:`InstanceWork.report`.  ``timing`` holds incremental
+    seconds per quantity, ``omega`` first and then each bound in
+    ``BOUND_KEYS`` order; intermediates shared between bounds are charged to
+    the first bound that needs them.
     """
 
     instance_id: str
@@ -64,22 +56,6 @@ class BoundReport:
     refinement_ok: bool
     timing: dict[str, float]
 
-    @classmethod
-    def from_bounds(
-        cls, instance_id: str, omega: float, bounds: dict, timing: dict, tol: ToleranceConfig
-    ) -> BoundReport:
-        """Report with gaps, hold flags and the B3-below-B7 refinement verdict."""
-        slack = tol.cmp_atol * (1.0 + omega)
-        return cls(
-            instance_id=instance_id,
-            omega=omega,
-            bounds=bounds,
-            gaps={k: v - omega for k, v in bounds.items()},
-            holds={k: omega <= v + slack for k, v in bounds.items()},
-            refinement_ok=bounds["B3_th2"] <= bounds["B7_prior"] + tol.cmp_atol,
-            timing=timing,
-        )
-
     @property
     def all_hold(self) -> bool:
         return all(self.holds.values())
@@ -89,14 +65,41 @@ class BoundReport:
         return min(self.gaps.values())
 
 
-class _BoundWork:
-    """Shared intermediates for the bound family on one block matrix."""
+class InstanceWork:
+    """Every per-instance intermediate of one block matrix, each computed once.
 
-    def __init__(self, bm: BlockMatrix, tol: ToleranceConfig):
+    Construction tests blockwise membership and raises :class:`BlockNotInBA`
+    naming the first block without a weighted adjoint.  The bound methods,
+    :meth:`report` and the campaign's invariants read the cached properties,
+    so asking for several of them pays for each intermediate once.
+    """
+
+    def __init__(self, bm: BlockMatrix, tol: ToleranceConfig = DEFAULT_TOL):
         self.bm = bm
         self.tol = tol
         self.ctx = bm.base_ctx
         _require_members(bm, tol)
+
+    @cached_property
+    def flat(self) -> Operator:
+        return flatten(self.bm)
+
+    @cached_property
+    def flat_reduced(self) -> np.ndarray:
+        """Reduction of the flattened operator against the lifted weight."""
+        return reduce(self.flat, self.tol)
+
+    @cached_property
+    def flat_sharp(self) -> Operator:
+        """Weighted adjoint of the flattened operator: the lifted route to ``sharps``."""
+        return a_adjoint(self.flat, self.tol)
+
+    @cached_property
+    def omega(self) -> float:
+        """Weighted numerical radius of the flattened operator, adjoint identity checked."""
+        return validated_radius_batch(
+            self.flat_reduced[None], reduce(self.flat_sharp, self.tol)[None], self.tol
+        )[0]
 
     @cached_property
     def sharps(self) -> np.ndarray:
@@ -179,30 +182,40 @@ class _BoundWork:
         return sq.sum(axis=1)
 
     def thf1(self) -> float:
+        """Half-sum over rows of diagonal seminorm plus root of the row cross term."""
         full, _ = self.row_cross_norms
         diag_norms = np.diagonal(self.norms)
         return float(0.5 * (diag_norms + np.sqrt(full)).sum())
 
     def r2(self) -> float:
+        """Half-sum of diagonal radii plus the quarter penalty d + sum of squared seminorms."""
         d = self.bm.d
         return float(
             0.5 * self.diag_omegas.sum() + 0.25 * (d + (self.norms**2).sum())
         )
 
     def th2(self) -> float:
+        """Numerical radius of the d x d comparison matrix of pairwise radii.
+
+        The matrix is real and entrywise nonnegative, so ``|x* S x| <= |x|^T S |x|``
+        and its numerical radius is exactly ``lambda_max((S + S^T) / 2)``.
+        """
         s = self.offdiag_omegas + np.diag(self.diag_omegas)
         return float(np.linalg.eigvalsh((s + s.T) / 2.0)[-1])
 
     def prior(self) -> float:
+        """Earlier comparison-matrix bound with plain seminorms off the diagonal."""
         t = self.norms.copy()
         np.fill_diagonal(t, self.diag_omegas)
         return float(np.abs(np.linalg.eigvalsh(t + t.T)).max() / 2.0)
 
     def diag_offdiag(self) -> float:
+        """Half-sum of diagonal radius plus root of its square and the row seminorms."""
         w = self.diag_omegas
         return float(0.5 * (w + np.sqrt(w**2 + self.offdiag_sq_rows)).sum())
 
     def re_im(self) -> float:
+        """Half-sum of the quadrature combination of real/imaginary part row terms."""
         cross = self.offdiag_sq_rows
         re, im = self.re_im_norms
         lam = re + np.sqrt(re**2 + cross)
@@ -210,58 +223,43 @@ class _BoundWork:
         return float(0.5 * np.sqrt(lam**2 + mu**2).sum())
 
     def maxdiag(self) -> float:
+        """Largest diagonal radius plus half-sum of off-diagonal row cross terms."""
         _, without_diag = self.row_cross_norms
         return float(self.diag_omegas.max() + 0.5 * np.sqrt(without_diag).sum())
 
+    def report(self, instance_id: str = "instance") -> BoundReport:
+        """Radius, all seven bounds, gaps, hold flags, the B3-below-B7
+        refinement verdict and timings."""
+        t0 = time.perf_counter()
+        omega = self.omega
+        timing = {"omega": time.perf_counter() - t0}
+        bounds: dict[str, float] = {}
+        for key, method in _BOUND_METHODS.items():
+            t0 = time.perf_counter()
+            bounds[key] = method(self)
+            timing[key] = time.perf_counter() - t0
+
+        slack = self.tol.cmp_atol * (1.0 + omega)
+        return BoundReport(
+            instance_id=instance_id,
+            omega=omega,
+            bounds=bounds,
+            gaps={k: v - omega for k, v in bounds.items()},
+            holds={k: omega <= v + slack for k, v in bounds.items()},
+            refinement_ok=bounds["B3_th2"] <= bounds["B7_prior"] + self.tol.cmp_atol,
+            timing=timing,
+        )
+
 
 _BOUND_METHODS = {
-    "B1_thf1": _BoundWork.thf1,
-    "B2_r2": _BoundWork.r2,
-    "B3_th2": _BoundWork.th2,
-    "B4_diag_offdiag": _BoundWork.diag_offdiag,
-    "B5_re_im": _BoundWork.re_im,
-    "B6_maxdiag": _BoundWork.maxdiag,
-    "B7_prior": _BoundWork.prior,
+    "B1_thf1": InstanceWork.thf1,
+    "B2_r2": InstanceWork.r2,
+    "B3_th2": InstanceWork.th2,
+    "B4_diag_offdiag": InstanceWork.diag_offdiag,
+    "B5_re_im": InstanceWork.re_im,
+    "B6_maxdiag": InstanceWork.maxdiag,
+    "B7_prior": InstanceWork.prior,
 }
-
-
-def bound_thf1(bm: BlockMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> float:
-    """Half-sum over rows of diagonal seminorm plus root of the row cross term."""
-    return _BoundWork(bm, tol).thf1()
-
-
-def bound_r2(bm: BlockMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> float:
-    """Half-sum of diagonal radii plus the quarter penalty d + sum of squared seminorms."""
-    return _BoundWork(bm, tol).r2()
-
-
-def bound_th2(bm: BlockMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> float:
-    """Numerical radius of the d x d comparison matrix of pairwise radii.
-
-    The matrix is real and entrywise nonnegative, so ``|x* S x| <= |x|^T S |x|``
-    and its numerical radius is exactly ``lambda_max((S + S^T) / 2)``.
-    """
-    return _BoundWork(bm, tol).th2()
-
-
-def bound_prior(bm: BlockMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> float:
-    """Earlier comparison-matrix bound with plain seminorms off the diagonal."""
-    return _BoundWork(bm, tol).prior()
-
-
-def bound_diag_offdiag(bm: BlockMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> float:
-    """Half-sum of diagonal radius plus root of its square and the row seminorms."""
-    return _BoundWork(bm, tol).diag_offdiag()
-
-
-def bound_re_im(bm: BlockMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> float:
-    """Half-sum of the quadrature combination of real/imaginary part row terms."""
-    return _BoundWork(bm, tol).re_im()
-
-
-def bound_maxdiag(bm: BlockMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> float:
-    """Largest diagonal radius plus half-sum of off-diagonal row cross terms."""
-    return _BoundWork(bm, tol).maxdiag()
 
 
 def evaluate_all(
@@ -270,16 +268,4 @@ def evaluate_all(
     instance_id: str = "instance",
 ) -> BoundReport:
     """Reference radius, all seven bounds, gaps, hold flags and timings."""
-    work = _BoundWork(bm, tol)
-
-    t0 = time.perf_counter()
-    omega = a_numerical_radius(flatten(bm), tol)
-    timing = {"omega": time.perf_counter() - t0}
-
-    bounds: dict[str, float] = {}
-    for key, method in _BOUND_METHODS.items():
-        t0 = time.perf_counter()
-        bounds[key] = method(work)
-        timing[key] = time.perf_counter() - t0
-
-    return BoundReport.from_bounds(instance_id, omega, bounds, timing, tol)
+    return InstanceWork(bm, tol).report(instance_id)

@@ -3,9 +3,11 @@
 Each instance is generated from (spec, trial) alone, so campaigns can run
 instance-parallel and still produce byte-identical reports: workers return
 results keyed by instance id and the merge is a deterministic sort.  Every
-instance also runs a small suite of cheap structural invariants (seminorm
+instance builds one :class:`InstanceWork`, which produces the bound report
+and then feeds a small suite of cheap structural invariants (seminorm
 equivalence, spectral domination, comparison-matrix inequalities, blockwise
-versus lifted adjoint) whose failures count as violations.
+versus lifted adjoint) from the same cached reductions; their failures count
+as violations.
 """
 
 from __future__ import annotations
@@ -19,12 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .blockops import BlockMatrix, block_sharp, flatten, hat_matrix
-from .bounds import BOUND_KEYS, BoundReport, evaluate_all
+from .blockops import flatten
+from .bounds import BOUND_KEYS, BoundReport, InstanceWork
 from .config import DEFAULT_TOL, ToleranceConfig
-from .core import Operator, a_adjoint, a_op_norm, spectral_norm
+from .core import spectral_norm
 from .generators import GenSpec, gen_block_matrix
-from .radii import a_spectral_radius, classical_spectral_radius
+from .radii import classical_spectral_radius, reduced_spectral_radius
 from .serialize import reports_to_csv_text, reports_to_json_text
 
 __all__ = ["CampaignConfig", "CampaignResult", "run_campaign", "instance_invariants"]
@@ -42,13 +44,15 @@ class CampaignConfig:
     parallelism: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "gens", tuple(self.gens))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not self.gens:
+            raise ValueError("gens must name at least one generation spec")
         if self.output_format not in ("json", "csv"):
             raise ValueError(f"unknown output format {self.output_format!r}")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
-        object.__setattr__(self, "gens", tuple(self.gens))
 
 
 @dataclass
@@ -58,11 +62,13 @@ class CampaignResult:
     summary: dict
 
 
-def instance_invariants(bm: BlockMatrix, report: BoundReport, tol: ToleranceConfig) -> list[str]:
-    """Cheap per-instance structural checks; returns the names that failed."""
+def instance_invariants(work: InstanceWork, report: BoundReport) -> list[str]:
+    """Cheap per-instance structural checks on the cached intermediates of
+    ``work``; returns the names that failed."""
     failures = []
-    flat = flatten(bm)
-    norm = a_op_norm(flat, tol)
+    tol = work.tol
+    reduced = work.flat_reduced
+    norm = spectral_norm(reduced)
     slack = tol.cmp_atol * (1.0 + norm)
     omega = report.omega
 
@@ -71,24 +77,23 @@ def instance_invariants(bm: BlockMatrix, report: BoundReport, tol: ToleranceConf
     if omega < 0.5 * norm - slack:
         failures.append("radius_below_half_seminorm")
 
-    spectral = a_spectral_radius(flat, tol)
+    spectral = reduced_spectral_radius(reduced, tol)
     if spectral > omega + slack:
         failures.append("spectral_above_radius")
 
-    hat = hat_matrix(bm, tol)
+    hat = work.norms
     if spectral > classical_spectral_radius(hat) + slack:
         failures.append("hat_spectral_domination")
     if norm > spectral_norm(hat) + slack:
         failures.append("hat_norm_domination")
 
-    squared = Operator(flat.t @ flat.t, bm.lifted_ctx)
-    power_bound = 0.5 * (norm + np.sqrt(a_op_norm(squared, tol)))
+    # the reduction is multiplicative, so the reduction of T^2 is R^2
+    power_bound = 0.5 * (norm + np.sqrt(spectral_norm(reduced @ reduced)))
     if omega > power_bound + slack:
         failures.append("power_refinement")
 
-    blockwise = block_sharp(bm, tol)
-    lifted = a_adjoint(flat, tol)
-    if spectral_norm(flatten(blockwise).t - lifted.t) > 1e-10 * (1.0 + norm):
+    blockwise = flatten(replace(work.bm, blocks=np.swapaxes(work.sharps, 0, 1)))
+    if spectral_norm(blockwise.t - work.flat_sharp.t) > 1e-10 * (1.0 + norm):
         failures.append("sharp_route_agreement")
     return failures
 
@@ -101,10 +106,9 @@ def _run_instance(payload) -> tuple[str, BoundReport, list[str]]:
     gi, spec, trial, tol = payload
     seed = spec.seed + trial
     instance_id = _instance_id(gi, spec, seed)
-    bm = gen_block_matrix(replace(spec, seed=seed), tol)
-    report = evaluate_all(bm, tol, instance_id=instance_id)
-    failures = instance_invariants(bm, report, tol)
-    return instance_id, report, failures
+    work = InstanceWork(gen_block_matrix(replace(spec, seed=seed), tol), tol)
+    report = work.report(instance_id)
+    return instance_id, report, instance_invariants(work, report)
 
 
 def run_campaign(cfg: CampaignConfig) -> CampaignResult:
@@ -131,7 +135,7 @@ def run_campaign(cfg: CampaignConfig) -> CampaignResult:
     invariant_failures = {r[0]: r[2] for r in rows if r[2]}
 
     bound_violations = {k: sum(not r.holds[k] for r in reports) for k in BOUND_KEYS}
-    min_gap = {k: min((r.gaps[k] for r in reports), default=float("inf")) for k in BOUND_KEYS}
+    min_gap = {k: min(r.gaps[k] for r in reports) for k in BOUND_KEYS}
     refinement_failures = sum(not r.refinement_ok for r in reports)
     invariant_violations = dict(Counter(n for names in invariant_failures.values() for n in names))
 

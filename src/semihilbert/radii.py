@@ -184,13 +184,17 @@ def _gelfand_from_reduced(reduced: np.ndarray, tol: ToleranceConfig) -> np.ndarr
 
 
 def a_spectral_radius(op: Operator, tol: ToleranceConfig = DEFAULT_TOL) -> float:
-    """Weighted spectral radius, computed on the reduction.
+    """Weighted spectral radius, computed on the reduction."""
+    return reduced_spectral_radius(reduce(op, tol), tol)
+
+
+def reduced_spectral_radius(reduced: np.ndarray, tol: ToleranceConfig) -> float:
+    """Spectral radius of an already-reduced matrix.
 
     The power-sequence envelope must stay above the eigenvalue-based value;
     if it dips below (beyond a slack covering defective-eigenvalue noise)
     a :class:`GelfandDivergence` is raised.
     """
-    reduced = reduce(op, tol)
     primary = float(np.abs(np.linalg.eigvals(reduced)).max()) if reduced.size else 0.0
     envelope = _gelfand_from_reduced(reduced, tol)
     scale = float(envelope[0])  # the envelope starts at ||R||

@@ -3,9 +3,7 @@
 import numpy as np
 import pytest
 
-import semihilbert.campaign as campaign
-from semihilbert import Operator, make_context
-from semihilbert.bounds import BOUND_KEYS, BoundReport
+from semihilbert import Operator, bounds, make_context
 from semihilbert.generators import gen_compatible, gen_psd
 
 
@@ -35,18 +33,12 @@ def operator(matrix, ctx) -> Operator:
 
 
 def corrupt_bound(monkeypatch, key):
-    """Make the campaign's evaluator report bound ``key`` far below the radius.
+    """Make bound ``key`` come out far below the radius in every report.
 
-    Exercises the violation plumbing of serial campaigns and ``verify``; the
-    gaps and verdicts are rebuilt by the evaluator's own ``from_bounds``.
+    Swaps the key's method in the evaluator's table, so the gaps and
+    verdicts of serial campaigns and ``verify`` are still built by
+    ``InstanceWork.report``.
     """
-    if key not in BOUND_KEYS:
+    if key not in bounds.BOUND_KEYS:
         raise ValueError(f"unknown bound key {key!r}")
-    evaluate = campaign.evaluate_all
-
-    def corrupted(bm, tol, instance_id):
-        report = evaluate(bm, tol, instance_id=instance_id)
-        bounds = dict(report.bounds, **{key: report.omega / 2.0 - 1.0})
-        return BoundReport.from_bounds(instance_id, report.omega, bounds, report.timing, tol)
-
-    monkeypatch.setattr(campaign, "evaluate_all", corrupted)
+    monkeypatch.setitem(bounds._BOUND_METHODS, key, lambda work: work.omega / 2.0 - 1.0)

@@ -6,23 +6,16 @@ import pytest
 from semihilbert import (
     BOUND_KEYS,
     BlockNotInBA,
+    InstanceWork,
     a_numerical_radius,
     a_op_norm,
     assemble,
-    bound_diag_offdiag,
-    bound_maxdiag,
-    bound_prior,
-    bound_r2,
-    bound_re_im,
-    bound_th2,
-    bound_thf1,
     classical_numerical_radius,
     diagonal_block_matrix,
     evaluate_all,
     flatten,
     make_context,
 )
-from semihilbert.bounds import _BoundWork
 from semihilbert.config import DEFAULT_TOL, ToleranceConfig
 from semihilbert.generators import gen_compatible, gen_psd
 
@@ -42,29 +35,30 @@ def witness():
 
 def test_witness_values_are_tight(witness):
     assert a_numerical_radius(flatten(witness)) == pytest.approx(0.5, abs=1e-9)
-    assert bound_thf1(witness) == pytest.approx(0.5, abs=1e-9)
-    assert bound_r2(witness) == pytest.approx(0.75, abs=1e-9)
-    assert bound_th2(witness) == pytest.approx(0.5, abs=1e-9)
-    assert bound_prior(witness) == pytest.approx(0.5, abs=1e-9)
-    assert bound_diag_offdiag(witness) == pytest.approx(0.5, abs=1e-9)
-    assert bound_re_im(witness) == pytest.approx(np.sqrt(2) / 2, abs=1e-9)
-    assert bound_maxdiag(witness) == pytest.approx(0.5, abs=1e-9)
+    work = InstanceWork(witness)
+    assert work.thf1() == pytest.approx(0.5, abs=1e-9)
+    assert work.r2() == pytest.approx(0.75, abs=1e-9)
+    assert work.th2() == pytest.approx(0.5, abs=1e-9)
+    assert work.prior() == pytest.approx(0.5, abs=1e-9)
+    assert work.diag_offdiag() == pytest.approx(0.5, abs=1e-9)
+    assert work.re_im() == pytest.approx(np.sqrt(2) / 2, abs=1e-9)
+    assert work.maxdiag() == pytest.approx(0.5, abs=1e-9)
 
 
 def test_zero_matrix_floors():
     ctx = make_context(np.eye(2))
-    bm = assemble(np.zeros((2, 2, 2, 2)), ctx)
-    assert bound_thf1(bm) == 0.0
-    assert bound_r2(bm) == pytest.approx(0.5)  # nonzero floor d / 4
-    assert bound_diag_offdiag(bm) == 0.0
-    assert bound_re_im(bm) == 0.0
-    assert bound_maxdiag(bm) == 0.0
+    work = InstanceWork(assemble(np.zeros((2, 2, 2, 2)), ctx))
+    assert work.thf1() == 0.0
+    assert work.r2() == pytest.approx(0.5)  # nonzero floor d / 4
+    assert work.diag_offdiag() == 0.0
+    assert work.re_im() == 0.0
+    assert work.maxdiag() == 0.0
 
 
 def test_scalar_block_r2():
     ctx = make_context(np.eye(1))
     bm = assemble(np.ones((1, 1, 1, 1)), ctx)
-    assert bound_r2(bm) == pytest.approx(1.0)
+    assert InstanceWork(bm).r2() == pytest.approx(1.0)
     assert a_numerical_radius(flatten(bm)) == pytest.approx(1.0)
 
 
@@ -75,12 +69,13 @@ def test_diagonal_bounds_collapse_to_maxima():
     omegas = [a_numerical_radius(e) for e in entries]
     norms = [a_op_norm(e) for e in entries]
     omega = a_numerical_radius(flatten(bm))
-    assert abs(bound_th2(bm) - max(omegas)) <= SLACK
-    assert abs(bound_prior(bm) - max(omegas)) <= SLACK
-    assert abs(bound_maxdiag(bm) - max(omegas)) <= SLACK
+    work = InstanceWork(bm)
+    assert abs(work.th2() - max(omegas)) <= SLACK
+    assert abs(work.prior() - max(omegas)) <= SLACK
+    assert abs(work.maxdiag() - max(omegas)) <= SLACK
     assert abs(max(omegas) - omega) <= SLACK
-    assert bound_thf1(bm) >= sum(norms) - SLACK
-    assert abs(bound_diag_offdiag(bm) - sum(omegas)) <= SLACK
+    assert work.thf1() >= sum(norms) - SLACK
+    assert abs(work.diag_offdiag() - sum(omegas)) <= SLACK
 
 
 def test_prior_all_equal_blocks_pattern():
@@ -89,29 +84,29 @@ def test_prior_all_equal_blocks_pattern():
     j = np.array([[0, 1], [0, 0]], dtype=complex)
     bm = assemble(np.broadcast_to(j, (2, 2, 2, 2)).copy(), ctx)
     # comparison matrix is [[1/2, 1], [1, 1/2]]; its radius is 3/2
-    assert bound_prior(bm) == pytest.approx(1.5, abs=1e-9)
+    assert InstanceWork(bm).prior() == pytest.approx(1.5, abs=1e-9)
 
 
 def test_re_im_hermitian_single_block_is_tight():
     ctx = make_context(np.eye(2))
     bm = assemble(np.diag([1.0, -1.0]).reshape(1, 1, 2, 2), ctx)
-    assert bound_re_im(bm) == pytest.approx(1.0, abs=1e-9)
+    assert InstanceWork(bm).re_im() == pytest.approx(1.0, abs=1e-9)
     assert a_numerical_radius(flatten(bm)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_th2_refines_prior():
     for seed in range(20):
-        bm = random_block_matrix(3, 2, 2, seed)
-        assert bound_th2(bm) <= bound_prior(bm) + SLACK
+        work = InstanceWork(random_block_matrix(3, 2, 2, seed))
+        assert work.th2() <= work.prior() + SLACK
 
 
 def test_th2_is_top_eigenvalue_of_symmetric_comparison_matrix():
     fine = ToleranceConfig(theta_samples=4096)
     for seed in range(10):
         bm = random_block_matrix(2 + seed % 3, 2, 1 + seed % 2, seed)
-        work = _BoundWork(bm, DEFAULT_TOL)
+        work = InstanceWork(bm, DEFAULT_TOL)
         s = work.offdiag_omegas + np.diag(work.diag_omegas)
-        th2 = bound_th2(bm)
+        th2 = work.th2()
         assert th2 == np.linalg.eigvalsh((s + s.T) / 2.0)[-1]
         # exact in exact arithmetic; eigensolver rounding is a few ulp
         assert th2 >= classical_numerical_radius(s, fine).value - 1e-14 * max(1.0, th2)
@@ -120,8 +115,8 @@ def test_th2_is_top_eigenvalue_of_symmetric_comparison_matrix():
 def test_offdiag_refinement_is_strict_somewhere():
     strict = 0
     for seed in range(10):
-        bm = random_block_matrix(2, 2, 2, seed)
-        if bound_th2(bm) < bound_prior(bm) - 1e-3:
+        work = InstanceWork(random_block_matrix(2, 2, 2, seed))
+        if work.th2() < work.prior() - 1e-3:
             strict += 1
     assert strict > 0
 
@@ -174,7 +169,7 @@ def test_bounds_reject_nonmember_blocks():
     grid[0, 1] = np.array([[0, 1], [0, 0]])
     bm = assemble(grid, ctx)
     with pytest.raises(BlockNotInBA) as err:
-        bound_thf1(bm)
+        InstanceWork(bm)
     assert err.value.index == (0, 1)
     with pytest.raises(BlockNotInBA, match=r"block \(0, 1\) ") as err:
         evaluate_all(bm)

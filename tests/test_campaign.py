@@ -1,6 +1,7 @@
 """Campaign runner: determinism, violation plumbing, output files."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -8,13 +9,14 @@ from semihilbert import (
     DEFAULT_TOL,
     CampaignConfig,
     GenSpec,
+    InstanceWork,
     ToleranceConfig,
-    evaluate_all,
     gen_block_matrix,
     run_campaign,
 )
 from semihilbert.bounds import BOUND_KEYS
 from semihilbert.campaign import instance_invariants
+from semihilbert.core import top_singular
 
 from conftest import corrupt_bound
 
@@ -94,10 +96,39 @@ def test_corrupt_unknown_bound_rejected(monkeypatch):
 
 
 def test_config_validation():
+    spec = GenSpec(n=2, d=2, rank=2)
     with pytest.raises(ValueError):
-        CampaignConfig(trials=0, gens=(GenSpec(n=2, d=2, rank=2),))
+        CampaignConfig(trials=0, gens=(spec,))
     with pytest.raises(ValueError):
-        CampaignConfig(trials=1, gens=(), output_format="xml")
+        CampaignConfig(trials=1, gens=(spec,), output_format="xml")
+    with pytest.raises(ValueError, match="gens"):
+        CampaignConfig(trials=1, gens=())
+
+
+@pytest.fixture
+def clean_instance():
+    """The work object of a non-nilpotent instance and its clean report."""
+    work = InstanceWork(gen_block_matrix(GenSpec(n=3, d=3, rank=2, seed=4), FAST_TOL), FAST_TOL)
+    report = work.report()
+    assert instance_invariants(work, report) == []
+    return work, report
+
+
+def test_invariants_flag_radius_above_seminorm(clean_instance):
+    work, report = clean_instance
+    norm = float(top_singular(work.flat_reduced))
+    assert "radius_above_seminorm" in instance_invariants(work, replace(report, omega=2.0 * norm))
+
+
+def test_invariants_flag_radius_below_half_seminorm(clean_instance):
+    work, report = clean_instance
+    assert "radius_below_half_seminorm" in instance_invariants(work, replace(report, omega=0.0))
+
+
+def test_invariants_flag_disagreeing_sharp_routes(clean_instance):
+    work, report = clean_instance
+    work.__dict__["sharps"] = work.sharps + 1e-6
+    assert instance_invariants(work, report) == ["sharp_route_agreement"]
 
 
 @pytest.mark.xfail(
@@ -110,5 +141,5 @@ def test_config_validation():
     "tol", [DEFAULT_TOL, ToleranceConfig(theta_samples=128, theta_refine_tol=1e-7)]
 )
 def test_nilpotent_sparse_instance_keeps_hat_spectral_domination(tol):
-    bm = gen_block_matrix(GenSpec(n=2, d=3, rank=1, ensemble="sparse", seed=12), tol)
-    assert "hat_spectral_domination" not in instance_invariants(bm, evaluate_all(bm, tol), tol)
+    work = InstanceWork(gen_block_matrix(GenSpec(n=2, d=3, rank=1, ensemble="sparse", seed=12), tol), tol)
+    assert "hat_spectral_domination" not in instance_invariants(work, work.report())

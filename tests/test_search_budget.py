@@ -1,5 +1,6 @@
-"""Each weighted radius costs one circle search over half the circle, and each
-block matrix one blockwise adjoint test; all counted at every import site."""
+"""Each weighted radius costs one circle search over half the circle, each
+block matrix one blockwise adjoint test, and each campaign instance one set of
+membership tests and reductions; all counted at every import site."""
 
 import importlib
 import pkgutil
@@ -7,9 +8,9 @@ import pkgutil
 import pytest
 
 import semihilbert
-from semihilbert import ToleranceConfig, a_numerical_radius, evaluate_all
+from semihilbert import GenSpec, ToleranceConfig, a_numerical_radius, campaign, evaluate_all
 from semihilbert.circle import sup_on_circle_batch
-from semihilbert.core import first_failure
+from semihilbert.core import first_failure, reduce
 from semihilbert.radii import classical_numerical_radius, omega_real_part_sup
 
 from conftest import random_member
@@ -93,3 +94,27 @@ def test_evaluate_all_tests_blockwise_adjoint_membership_once(monkeypatch):
     assert patch_everywhere(monkeypatch, first_failure, counted) >= 2
     evaluate_all(random_block_matrix(3, 2, 1, seed=9))
     assert grids == [(3, 3)]
+
+
+def test_campaign_instance_tests_membership_four_times_and_reduces_twice(monkeypatch):
+    # the blockwise adjoint test, then on the flattened operator its reduction,
+    # its adjoint and the reduction of that adjoint; the invariants reuse them all
+    tests, reductions = [], []
+
+    def counted_test(ctx, mats, tol=semihilbert.DEFAULT_TOL, half=False):
+        tests.append(mats.shape[:-2])
+        return first_failure(ctx, mats, tol, half)
+
+    def counted_reduce(op, tol=semihilbert.DEFAULT_TOL):
+        reductions.append(op.dim)
+        return reduce(op, tol)
+
+    assert patch_everywhere(monkeypatch, first_failure, counted_test) >= 2
+    assert patch_everywhere(monkeypatch, reduce, counted_reduce) >= 2
+    campaign_tol = ToleranceConfig(theta_samples=128, theta_refine_tol=1e-7)
+    spec = GenSpec(n=3, d=3, rank=2, seed=5)
+    _, _, failures = campaign._run_instance((0, spec, 0, campaign_tol))
+    assert failures == []
+    assert len(tests) == 4
+    assert tests.count((3, 3)) == 1
+    assert reductions == [9, 9]
