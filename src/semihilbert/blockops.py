@@ -107,6 +107,8 @@ def flatten(bm: BlockMatrix) -> Operator:
 
 def split_blocks(m: np.ndarray, d: int) -> np.ndarray:
     """Inverse of the flatten layout: a (d n) x (d n) matrix to a (d, d, n, n) grid."""
+    if d < 1:
+        raise BadIndex(f"block count must be >= 1, got {d}")
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % d:
         raise DimensionMismatch(f"cannot split shape {m.shape} into {d}x{d} blocks")

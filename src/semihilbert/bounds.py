@@ -4,11 +4,11 @@ One :class:`InstanceWork` per block matrix holds every intermediate that the
 seven bounds (B1..B7) and the campaign's invariants read, each computed once
 on first use: the blockwise adjoints, reductions and seminorms (the stacked
 primitives of :mod:`semihilbert.core` applied to the block grid), the
-diagonal-block and off-diagonal pair radii, and the flattened operator's
-reduction, weighted adjoint and numerical radius.  The bounds are its
-methods; :meth:`InstanceWork.report` evaluates all of them against the
-radius and turns the values into gaps and hold flags with a scale-aware
-slack.  :func:`evaluate_all` is the one-call entry point.
+(d, d) pair radii, whose diagonal holds the diagonal-block radii, and the
+flattened operator's reduction, adjoint and radius: two circle searches.
+The bounds are its methods; :meth:`InstanceWork.report` evaluates them
+against the radius and turns the values into gaps and hold flags with a
+scale-aware slack.  :func:`evaluate_all` is the one-call entry point.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .blockops import BlockMatrix, _require_members, flatten
 from .config import DEFAULT_TOL, ToleranceConfig
 from .core import Operator, a_adjoint, adjoint_stack, reduce, reduce_stack, top_singular
 from .errors import RouteDisagreement
-from .radii import offdiag_sup_batch, validated_radius_batch
+from .radii import check_adjoint_identity, offdiag_sup_batch, validated_radius_batch
 
 __all__ = ["BOUND_KEYS", "BoundReport", "InstanceWork", "evaluate_all"]
 
@@ -44,8 +44,8 @@ class BoundReport:
 
     Built by :meth:`InstanceWork.report`.  ``timing`` holds incremental
     seconds per quantity, ``omega`` first and then each bound in
-    ``BOUND_KEYS`` order; intermediates shared between bounds are charged to
-    the first bound that needs them.
+    ``BOUND_KEYS`` order; shared intermediates are charged to the first bound
+    that needs them: the pair search to B2, leaving B3 about 0.
     """
 
     instance_id: str
@@ -120,38 +120,27 @@ class InstanceWork:
         return top_singular(self.reduced_blocks)
 
     @cached_property
-    def diag_omegas(self) -> np.ndarray:
-        """Numerical radii of the diagonal blocks, adjoint identity checked."""
-        idx = np.arange(self.bm.d)
-        return np.asarray(
-            validated_radius_batch(
-                self.reduced_blocks[idx, idx], self.reduced_sharps[idx, idx], self.tol
-            )
-        )
+    def pair_omegas(self) -> np.ndarray:
+        """Matrix of pair radii omega_offdiag(T_ij, T_ji) over all d^2 ordered pairs.
 
-    @cached_property
-    def offdiag_omegas(self) -> np.ndarray:
-        """Matrix of omega_offdiag(T_ij, T_ji) for i != j, zero on the diagonal.
-
-        All ordered pairs are computed so that the symmetry predicted by the
-        exchange identity can be asserted rather than assumed.
+        For i = j this is sup_theta ||Re_A(e^{i theta} T_ii)||_A = omega_A(T_ii), so
+        the diagonal radii come from the same search.  The adjoint identity is
+        checked on every block and the exchange symmetry asserted, not assumed.
         """
-        d = self.bm.d
-        pairs = [(i, j) for i in range(d) for j in range(d) if i != j]
-        if not pairs:
-            return np.zeros((d, d))
-        lefts = np.stack([self.reduced_blocks[i, j] for i, j in pairs])
-        rights = np.stack([self.reduced_sharps[j, i] for i, j in pairs])
-        values = offdiag_sup_batch(lefts, rights, self.tol)
-        out = np.zeros((d, d))
-        for (i, j), v in zip(pairs, values):
-            out[i, j] = v
+        d, n = self.bm.d, self.bm.n
+        lefts = self.reduced_blocks.reshape(d * d, n, n)
+        check_adjoint_identity(lefts, self.reduced_sharps.reshape(d * d, n, n), self.tol)
+        rights = np.swapaxes(self.reduced_sharps, 0, 1).reshape(d * d, n, n)
+        out = np.reshape(offdiag_sup_batch(lefts, rights, self.tol), (d, d))
         asym = np.abs(out - out.T).max()
-        if asym > 1e-10 * (1.0 + out.max()):
-            raise RouteDisagreement(
-                f"off-diagonal pair radii are asymmetric by {asym:.3e}"
-            )
+        if asym > 1e-10 * (1.0 + out.max() + top_singular(self.bm.blocks).max()):
+            raise RouteDisagreement(f"pair radii are asymmetric by {asym:.3e}")
         return out
+
+    @property
+    def diag_omegas(self) -> np.ndarray:
+        """Numerical radii of the diagonal blocks: the diagonal of ``pair_omegas``."""
+        return np.diagonal(self.pair_omegas)
 
     @cached_property
     def row_cross_norms(self) -> tuple[np.ndarray, np.ndarray]:
@@ -195,12 +184,12 @@ class InstanceWork:
         )
 
     def th2(self) -> float:
-        """Numerical radius of the d x d comparison matrix of pairwise radii.
+        """Numerical radius of the d x d comparison matrix ``S = pair_omegas``.
 
         The matrix is real and entrywise nonnegative, so ``|x* S x| <= |x|^T S |x|``
         and its numerical radius is exactly ``lambda_max((S + S^T) / 2)``.
         """
-        s = self.offdiag_omegas + np.diag(self.diag_omegas)
+        s = self.pair_omegas
         return float(np.linalg.eigvalsh((s + s.T) / 2.0)[-1])
 
     def prior(self) -> float:

@@ -103,17 +103,13 @@ def _campaign_from_file(args) -> CampaignConfig:
     data = _load_json(args.config)
     tol = _resolve_tol(args, tolerance_from_json(data.get("tol")))
     seed = _setting(args.seed, "seed", int, None)
-    gens = []
-    for g in data["gens"]:
-        if seed is not None:
-            g = dict(g, seed=seed)
-        gens.append(GenSpec(**g))
+    gens = tuple(GenSpec(**(g if seed is None else dict(g, seed=seed))) for g in data["gens"])
     output = data.get("output", {})
     out_path = args.out if args.out is not None else output.get("path")
     out_format = _setting(args.format, "format", str, output.get("format", "json"))
     return CampaignConfig(
         trials=_setting(args.trials, "trials", int, data["trials"]),
-        gens=tuple(gens),
+        gens=gens,
         tol=tol,
         output_path=out_path,
         output_format=out_format,

@@ -113,16 +113,17 @@ def validated_radius_batch(
     the search covers [0, pi).
     """
     if sharp_reduced is not None:
-        _check_adjoint_identity(reduced, sharp_reduced, tol)
+        check_adjoint_identity(reduced, sharp_reduced, tol)
     results = sup_on_circle_batch(
         rotation_eig_objective(reduced), len(reduced), tol, period=math.pi
     )
     return [r.value for r in results]
 
 
-def _check_adjoint_identity(
+def check_adjoint_identity(
     reduced: np.ndarray, sharp_reduced: np.ndarray, tol: ToleranceConfig
 ) -> None:
+    """Raise :class:`RouteDisagreement` unless ``sharp_reduced = reduced^*`` pairwise."""
     diff = sharp_reduced - np.conj(np.swapaxes(reduced, -1, -2))
     resid, scale = top_singular(np.stack([diff, reduced]))
     bad = np.flatnonzero(resid > tol.cmp_atol * (1.0 + scale))
@@ -150,7 +151,7 @@ def a_numerical_radius_many(
         with suppress(NotInBA):
             sharps[i] = reduce(a_adjoint(op, tol), tol)
     if sharps:
-        _check_adjoint_identity(mats[list(sharps)], np.stack(list(sharps.values())), tol)
+        check_adjoint_identity(mats[list(sharps)], np.stack(list(sharps.values())), tol)
     return validated_radius_batch(mats, None, tol)
 
 
@@ -211,7 +212,8 @@ def offdiag_sup_batch(
 ) -> list[float]:
     """Halved suprema of sigma_max(e^{i t} L + e^{-i t} R) for reduced stacks.
 
-    The objective has period pi, so the search covers [0, pi).
+    The objective has period pi, so the search covers [0, pi).  With ``R = L^*``
+    the value is the numerical radius of L: the bounds' diagonal-block radii.
     """
     results = sup_on_circle_batch(
         phase_combo_norm_objective(lefts, rights), len(lefts), tol, period=math.pi

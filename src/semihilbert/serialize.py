@@ -19,7 +19,7 @@ from .blockops import BlockMatrix, assemble
 from .bounds import BOUND_KEYS, BoundReport
 from .config import DEFAULT_TOL, ToleranceConfig
 from .core import PsdContext, make_context
-from .errors import DimensionMismatch
+from .errors import BadIndex, DimensionMismatch
 
 __all__ = [
     "matrix_to_json",
@@ -43,7 +43,10 @@ def matrix_to_json(m: np.ndarray) -> list:
 
 
 def matrix_from_json(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
+    try:
+        arr = np.asarray(data, dtype=float)
+    except ValueError as exc:
+        raise DimensionMismatch(f"rows of [re, im] pairs are ragged: {exc}") from exc
     if arr.ndim != 3 or arr.shape[-1] != 2:
         raise DimensionMismatch(f"expected rows of [re, im] pairs, got shape {arr.shape}")
     return arr[..., 0] + 1j * arr[..., 1]
@@ -68,12 +71,16 @@ def block_matrix_to_json(bm: BlockMatrix) -> dict:
 
 def block_matrix_from_json(data: dict, tol: ToleranceConfig = DEFAULT_TOL) -> BlockMatrix:
     d, n = int(data["d"]), int(data["n"])
+    if d < 1:
+        raise BadIndex(f"block count must be >= 1, got {d}")
     mats = [matrix_from_json(b) for b in data["blocks"]]
     if len(mats) != d * d:
         raise DimensionMismatch(f"expected {d * d} blocks, got {len(mats)}")
-    grid = np.stack(mats).reshape(d, d, n, n)
     ctx = make_context(matrix_from_json(data["a"]), tol)
-    return assemble(grid, ctx)
+    bm = assemble([mats[i * d : (i + 1) * d] for i in range(d)], ctx)
+    if bm.n != n:
+        raise DimensionMismatch(f"declared n = {n} but blocks are {bm.n}x{bm.n}")
+    return bm
 
 
 def tolerance_to_json(tol: ToleranceConfig) -> dict:

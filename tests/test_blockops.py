@@ -99,6 +99,11 @@ def test_split_inverts_flatten():
     assert np.array_equal(again, bm.blocks)
 
 
+def test_split_rejects_nonpositive_block_count():
+    with pytest.raises(BadIndex):
+        split_blocks(np.eye(4), 0)
+
+
 def test_ragged_blocks_rejected():
     ctx = make_context(np.eye(2))
     with pytest.raises(RaggedBlocks):

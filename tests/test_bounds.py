@@ -7,9 +7,11 @@ from semihilbert import (
     BOUND_KEYS,
     BlockNotInBA,
     InstanceWork,
+    RouteDisagreement,
     a_numerical_radius,
     a_op_norm,
     assemble,
+    bounds,
     classical_numerical_radius,
     diagonal_block_matrix,
     evaluate_all,
@@ -17,7 +19,7 @@ from semihilbert import (
     make_context,
 )
 from semihilbert.config import DEFAULT_TOL, ToleranceConfig
-from semihilbert.generators import gen_compatible, gen_psd
+from semihilbert.generators import ENSEMBLES, gen_compatible, gen_psd
 
 from test_blockops import random_block_matrix
 
@@ -105,11 +107,41 @@ def test_th2_is_top_eigenvalue_of_symmetric_comparison_matrix():
     for seed in range(10):
         bm = random_block_matrix(2 + seed % 3, 2, 1 + seed % 2, seed)
         work = InstanceWork(bm, DEFAULT_TOL)
-        s = work.offdiag_omegas + np.diag(work.diag_omegas)
+        s = work.pair_omegas
         th2 = work.th2()
         assert th2 == np.linalg.eigvalsh((s + s.T) / 2.0)[-1]
         # exact in exact arithmetic; eigensolver rounding is a few ulp
         assert th2 >= classical_numerical_radius(s, fine).value - 1e-14 * max(1.0, th2)
+
+
+def test_adjoint_identity_is_checked_on_every_block():
+    work = InstanceWork(random_block_matrix(3, 2, 1, seed=9))
+    sharps = work.reduced_sharps.copy()
+    sharps[0, 1] += 1e-6
+    work.__dict__["reduced_sharps"] = sharps
+    with pytest.raises(RouteDisagreement, match="reduced adjoint differs"):
+        work.pair_omegas
+
+
+def test_planted_pair_asymmetry_raises(monkeypatch):
+    search = bounds.offdiag_sup_batch
+
+    def shifted(lefts, rights, tol):
+        values = search(lefts, rights, tol)
+        values[1] += 1e-6  # pair (0, 1) in row-major order
+        return values
+
+    monkeypatch.setattr(bounds, "offdiag_sup_batch", shifted)
+    with pytest.raises(RouteDisagreement, match="asymmetric"):
+        InstanceWork(random_block_matrix(3, 2, 1, seed=9)).pair_omegas
+
+
+@pytest.mark.parametrize("ensemble", ENSEMBLES)
+def test_single_block_bounds_are_its_pair_radius(ensemble):
+    work = InstanceWork(random_block_matrix(1, 4, 2, seed=3, ensemble=ensemble))
+    (pair,) = work.pair_omegas.ravel()
+    assert work.th2() == work.maxdiag() == work.prior() == pair
+    assert abs(pair - work.omega) <= 1e-13 * (1.0 + work.omega)
 
 
 def test_offdiag_refinement_is_strict_somewhere():

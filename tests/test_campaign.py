@@ -143,3 +143,18 @@ def test_invariants_flag_disagreeing_sharp_routes(clean_instance):
 def test_nilpotent_sparse_instance_keeps_hat_spectral_domination(tol):
     work = InstanceWork(gen_block_matrix(GenSpec(n=2, d=3, rank=1, ensemble="sparse", seed=12), tol), tol)
     assert "hat_spectral_domination" not in instance_invariants(work, work.report())
+
+
+@pytest.mark.parametrize(
+    "tol", [DEFAULT_TOL, ToleranceConfig(theta_samples=128, theta_refine_tol=1e-7)]
+)
+@pytest.mark.parametrize("d, n", [(5, 4), (2, 6)])
+def test_large_scale_rank_one_nilpotent_instance_is_clean(d, n, tol):
+    # the reduction is exactly zero, so the pair symmetry check (d = 5) and
+    # the sharp route check (d = 2) compare rounding noise of size
+    # eps ||T|| ~ 1e-10; their slack scales with ||T||
+    spec = GenSpec(n=n, d=d, rank=1, ensemble="nilpotent-lift", scale=1e6, seed=0)
+    work = InstanceWork(gen_block_matrix(spec, tol), tol)
+    report = work.report()
+    assert report.all_hold and report.refinement_ok
+    assert instance_invariants(work, report) == []

@@ -21,7 +21,7 @@ from semihilbert import (
     re_a,
     reduce,
 )
-from semihilbert.generators import gen_a_unitary, gen_compatible, gen_psd
+from semihilbert.generators import ENSEMBLES, gen_a_unitary, gen_compatible, gen_psd
 from semihilbert.radii import validated_radius_batch
 
 from conftest import a_unit_samples, random_member
@@ -307,6 +307,22 @@ def test_offdiag_symmetry():
         v1 = omega_offdiag(t, s)
         v2 = omega_offdiag(s, t)
         assert abs(v1 - v2) <= SLACK * (1.0 + v1)
+
+
+@pytest.mark.parametrize(
+    "tol",
+    [ToleranceConfig(), ToleranceConfig(theta_samples=128, theta_refine_tol=1e-7)],
+    ids=["default", "campaign"],
+)
+@pytest.mark.parametrize("ensemble", ENSEMBLES)
+def test_offdiag_pair_with_itself_is_the_numerical_radius(ensemble, tol):
+    # (1/2) sup ||e^{it} T + e^{-it} T^#||_A = sup ||Re_A(e^{it} T)||_A = omega_A(T),
+    # so the bounds read the diagonal radii off the i = j pair problems
+    for n in range(1, 9):
+        for rank in sorted({n, max(1, n // 2)}):
+            _, t = random_member(n, rank, seed=10 * n + rank, ensemble=ensemble)
+            omega = a_numerical_radius(t, tol)
+            assert abs(omega_offdiag(t, t, tol) - omega) <= 1e-13 * (1.0 + omega)
 
 
 def test_offdiag_requires_membership_of_both_operands():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from semihilbert import DimensionMismatch, evaluate_all, make_context
+from semihilbert import BadIndex, DimensionMismatch, RaggedBlocks, evaluate_all, make_context
 from semihilbert.serialize import (
     block_matrix_from_json,
     block_matrix_to_json,
@@ -52,6 +52,19 @@ def test_block_matrix_roundtrip():
     again = block_matrix_from_json(data)
     assert np.array_equal(again.blocks, bm.blocks)
     assert np.array_equal(again.base_ctx.a, bm.base_ctx.a)
+
+
+def test_malformed_block_files_raise_package_errors():
+    data = block_matrix_to_json(random_block_matrix(2, 2, 2, seed=5))
+    with pytest.raises(DimensionMismatch, match="declared n = 3"):
+        block_matrix_from_json(dict(data, n=3))
+    ragged = dict(data, blocks=[*data["blocks"][:3], matrix_to_json(np.eye(3))])
+    with pytest.raises(RaggedBlocks):
+        block_matrix_from_json(ragged)
+    with pytest.raises(BadIndex):
+        block_matrix_from_json(dict(data, d=0, blocks=[]))
+    with pytest.raises(DimensionMismatch, match="ragged"):
+        matrix_from_json([[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]]])
 
 
 def test_tolerance_roundtrip():
