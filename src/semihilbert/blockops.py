@@ -66,7 +66,6 @@ def lift(ctx: PsdContext, d: int) -> PsdContext:
         eigvecs=np.kron(eye, ctx.eigvecs)[:, order],
         sqrt_a=np.kron(eye, ctx.sqrt_a),
         pinv_a=np.kron(eye, ctx.pinv_a),
-        pinv_sqrt_a=np.kron(eye, ctx.pinv_sqrt_a),
         proj_range=np.kron(eye, ctx.proj_range),
     )
     for arr in fields.values():

@@ -86,7 +86,7 @@ class InstanceWork:
 
     @cached_property
     def flat_reduced(self) -> np.ndarray:
-        """Reduction of the flattened operator against the lifted weight."""
+        """Reduction of the flattened operator against the lifted weight, (d r) x (d r)."""
         return reduce(self.flat, self.tol)
 
     @cached_property
@@ -108,6 +108,7 @@ class InstanceWork:
 
     @cached_property
     def reduced_blocks(self) -> np.ndarray:
+        """Blockwise reductions against the base weight, shape (d, d, r, r)."""
         return reduce_stack(self.ctx, self.bm.blocks)
 
     @cached_property
@@ -127,10 +128,10 @@ class InstanceWork:
         the diagonal radii come from the same search.  The adjoint identity is
         checked on every block and the exchange symmetry asserted, not assumed.
         """
-        d, n = self.bm.d, self.bm.n
-        lefts = self.reduced_blocks.reshape(d * d, n, n)
-        check_adjoint_identity(lefts, self.reduced_sharps.reshape(d * d, n, n), self.tol)
-        rights = np.swapaxes(self.reduced_sharps, 0, 1).reshape(d * d, n, n)
+        d, r = self.bm.d, self.ctx.rank
+        lefts = self.reduced_blocks.reshape(d * d, r, r)
+        check_adjoint_identity(lefts, self.reduced_sharps.reshape(d * d, r, r), self.tol)
+        rights = np.swapaxes(self.reduced_sharps, 0, 1).reshape(d * d, r, r)
         out = np.reshape(offdiag_sup_batch(lefts, rights, self.tol), (d, d))
         asym = np.abs(out - out.T).max()
         if asym > 1e-10 * (1.0 + out.max() + top_singular(self.bm.blocks).max()):

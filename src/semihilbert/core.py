@@ -1,17 +1,18 @@
 """Positive-semidefinite weight contexts and the operator calculus they induce.
 
 A :class:`PsdContext` wraps a Hermitian positive-semidefinite matrix ``A``
-together with the spectral caches everything else needs: ``A^{1/2}``, the
-Moore-Penrose inverses of ``A`` and ``A^{1/2}``, and the orthogonal
+together with the spectral caches everything else needs: its eigenpairs,
+``A^{1/2}``, the Moore-Penrose inverse of ``A`` and the orthogonal
 projection ``P`` onto ``range(A)``.  Vectors are measured by the seminorm
 ``||x||_A = sqrt(x* A x)`` and operators by the induced seminorm.
 
-The workhorse is :func:`reduce`: for an A-bounded operator ``T`` the matrix
-``A^{1/2} T (A^{1/2})^+`` has classical operator norm, numerical radius and
-spectral radius equal to the A-weighted ones of ``T``, so weighted
-quantities come out of ordinary dense linear algebra.  The map is
-multiplicative on A-bounded operators and sends the weighted adjoint to the
-conjugate transpose, which the test suite exploits as an oracle.
+The workhorse is :func:`reduce`.  For an A-bounded operator ``T`` the image
+``A^{1/2} T (A^{1/2})^+`` is ``V_r C V_r^*``, with ``V_r``, ``Lambda_r`` the
+``r = rank(A)`` nonzero eigenpairs and ``C = Lambda_r^{1/2} V_r^* T V_r
+Lambda_r^{-1/2}``; the r x r matrix ``C`` has the image's classical norm,
+numerical radius and spectral radius, which are the A-weighted ones of ``T``.
+The map is multiplicative on A-bounded operators and sends the weighted
+adjoint to the conjugate transpose, which the test suite exploits as an oracle.
 
 Each formula has one home, a primitive on stacks ``(..., n, n)`` that covers
 one operator or a whole block grid in one call: :func:`top_singular`, the
@@ -100,7 +101,6 @@ class PsdContext:
     rank: int
     sqrt_a: np.ndarray
     pinv_a: np.ndarray
-    pinv_sqrt_a: np.ndarray
     proj_range: np.ndarray
 
     @property
@@ -156,7 +156,6 @@ def make_context(a, tol: ToleranceConfig = DEFAULT_TOL) -> PsdContext:
         rank=rank,
         sqrt_a=_frozen(from_spectrum(w, v, np.sqrt)),
         pinv_a=_frozen(from_spectrum(w, v, lambda x: 1.0 / x)),
-        pinv_sqrt_a=_frozen(from_spectrum(w, v, lambda x: 1.0 / np.sqrt(x))),
         proj_range=_frozen(from_spectrum(w, v, np.ones_like)),
     )
 
@@ -225,8 +224,9 @@ def first_failure(
 
 
 def reduce_stack(ctx: PsdContext, mats: np.ndarray) -> np.ndarray:
-    """Reductions ``A^{1/2} T (A^{1/2})^+`` of a stack ``(..., n, n)``, unchecked."""
-    return ctx.sqrt_a @ mats @ ctx.pinv_sqrt_a
+    """Compressions ``C`` of a stack ``(..., n, n)``, shape ``(..., r, r)``, unchecked."""
+    v, root = ctx.eigvecs[:, : ctx.rank], np.sqrt(ctx.eigvals[: ctx.rank])
+    return root[:, None] * (v.conj().T @ mats @ v) / root
 
 
 def adjoint_stack(ctx: PsdContext, mats: np.ndarray) -> np.ndarray:
@@ -256,11 +256,11 @@ def a_adjoint(op: Operator, tol: ToleranceConfig = DEFAULT_TOL) -> Operator:
 
 
 def reduce(op: Operator, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Similarity image ``A^{1/2} T (A^{1/2})^+`` carrying all weighted data.
+    """The r x r compression ``C`` of ``A^{1/2} T (A^{1/2})^+``, carrying all weighted data.
 
-    Classical norm / numerical radius / spectral radius of the result equal
-    the weighted ones of ``op``.  Requires the operator to be bounded for
-    the weighted seminorm.
+    The image is ``V_r C V_r^*`` and vanishes off ``range(A)``, so the
+    classical norm / numerical radius / spectral radius of ``C`` equal the
+    weighted ones of ``op``.  Requires weighted-seminorm boundedness.
     """
     if not in_ba_half(op, tol):
         raise NotABounded("operator is unbounded for the weighted seminorm")

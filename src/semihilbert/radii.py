@@ -1,10 +1,13 @@
 """Classical and weighted numerical/spectral radii.
 
-Weighted radii are computed on the reduction ``R = A^{1/2} T (A^{1/2})^+``,
-one circle search per radius.  The reduction sends the weighted adjoint to
-the conjugate transpose, so when an operator admits a weighted adjoint the
-identity ``reduce(T^#) = R^*`` is checked directly; a residual beyond slack
-signals a membership or implementation bug and raises
+Weighted radii are computed on the reduction ``R``, the r x r compression of
+``A^{1/2} T (A^{1/2})^+`` to ``range(A)``, ``r = rank(A)``, which carries its
+norm, numerical radius and spectral radius (:func:`semihilbert.core.reduce`):
+one circle search per radius, on r x r matrices.  Batches zero-pad reductions
+of different orders, which keeps all three.  The reduction sends the weighted
+adjoint to the conjugate transpose, so when an operator admits a weighted
+adjoint the identity ``reduce(T^#) = R^*`` is checked directly; a residual
+beyond slack signals a membership or implementation bug and raises
 :class:`RouteDisagreement`.  The rotated-real-part supremum
 
     sup_theta || (e^{i theta} T + e^{-i theta} T^#) / 2 ||_A
@@ -135,6 +138,16 @@ def check_adjoint_identity(
         )
 
 
+def _padded_stack(mats: Sequence[np.ndarray], order: int = 0) -> np.ndarray:
+    """Stack square matrices zero-padded to the largest order, at least ``order``.
+
+    A direct sum with a zero block keeps sigma_max, the numerical radius and
+    the pair objective, so a padded batch searches as its members would.
+    """
+    order = max(order, *(len(m) for m in mats))
+    return np.stack([np.pad(m, (0, order - len(m))) for m in mats])
+
+
 def a_numerical_radius_many(
     ops: Sequence[Operator], tol: ToleranceConfig = DEFAULT_TOL
 ) -> list[float]:
@@ -145,13 +158,15 @@ def a_numerical_radius_many(
     """
     if not ops:
         return []
-    mats = np.stack([reduce(op, tol) for op in ops])
+    mats = _padded_stack([reduce(op, tol) for op in ops])
     sharps = {}  # index -> reduced weighted adjoint, for operators that admit one
     for i, op in enumerate(ops):
         with suppress(NotInBA):
             sharps[i] = reduce(a_adjoint(op, tol), tol)
     if sharps:
-        check_adjoint_identity(mats[list(sharps)], np.stack(list(sharps.values())), tol)
+        check_adjoint_identity(
+            mats[list(sharps)], _padded_stack(list(sharps.values()), mats.shape[-1]), tol
+        )
     return validated_radius_batch(mats, None, tol)
 
 
@@ -171,17 +186,26 @@ def gelfand_envelope(op: Operator, tol: ToleranceConfig = DEFAULT_TOL) -> np.nda
 
 
 def _gelfand_from_reduced(reduced: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    count = tol.gelfand_max_power.bit_length()
     top = spectral_norm(reduced)
     if top == 0.0:
-        return np.zeros(tol.gelfand_max_power.bit_length())
+        return np.zeros(count)
+    # m holds (R / top)^power divided by its norm and log_norm the log of that
+    # norm, so the powers of a nearly nilpotent R cannot underflow to zero
     m = reduced / top
     vals = [top]
+    log_norm = 0.0
     power = 1
     while power * 2 <= tol.gelfand_max_power:
         m = m @ m
         power *= 2
-        vals.append(top * spectral_norm(m) ** (1.0 / power))
-    return np.asarray(vals)
+        size = spectral_norm(m)
+        if size == 0.0:
+            break
+        m /= size
+        log_norm = 2.0 * log_norm + math.log(size)
+        vals.append(top * math.exp(log_norm / power))
+    return np.pad(vals, (0, count - len(vals)))
 
 
 def a_spectral_radius(op: Operator, tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -232,8 +256,8 @@ def omega_offdiag_many(
             raise DimensionMismatch("paired operators must share a weight context")
         if not in_ba(t, tol):
             raise NotInBA("left operator does not admit a weighted adjoint")
-    lefts = np.stack([reduce(t, tol) for t, _ in pairs])
-    rights = np.stack([reduce(a_adjoint(s, tol), tol) for _, s in pairs])
+    lefts = _padded_stack([reduce(t, tol) for t, _ in pairs])
+    rights = _padded_stack([reduce(a_adjoint(s, tol), tol) for _, s in pairs])
     return offdiag_sup_batch(lefts, rights, tol)
 
 

@@ -62,9 +62,12 @@ def test_lift_embeds_caches_exactly():
     ctx = gen_psd(3, 2, seed=9)
     lifted = lift(ctx, 2)
     eye = np.eye(2)
-    for name in ("a", "sqrt_a", "pinv_a", "pinv_sqrt_a", "proj_range"):
+    for name in ("a", "sqrt_a", "pinv_a", "proj_range"):
         assert np.array_equal(getattr(lifted, name), np.kron(eye, getattr(ctx, name)))
     assert np.all(np.diff(lifted.eigvals) <= 0)
+    # the range spectrum that reduce compresses with is the base one, tiled
+    r = ctx.rank
+    assert np.array_equal(lifted.eigvals[: 2 * r], np.sort(np.tile(ctx.eigvals[:r], 2))[::-1])
 
 
 # -------------------------------------------------------- assemble / flatten

@@ -19,6 +19,7 @@ from semihilbert import (
     a_adjoint,
     a_op_norm,
     assemble,
+    classical_numerical_radius,
     in_ba,
     in_ba_half,
     make_context,
@@ -27,7 +28,7 @@ from semihilbert import (
     semi_norm,
 )
 from semihilbert.core import first_failure
-from semihilbert.generators import gen_compatible, gen_psd
+from semihilbert.generators import ENSEMBLES, gen_compatible, gen_psd
 from semihilbert.serialize import matrix_from_json
 
 from conftest import a_unit_samples, random_member
@@ -38,6 +39,7 @@ NORM_EQ_TOL = 1e-9
 DIEZ_TOL = 1e-8
 HOM_TOL = 1e-9
 STAR_TOL = 1e-10
+COMPRESS_TOL = 1e-13
 
 
 # ---------------------------------------------------------------- contexts
@@ -92,10 +94,10 @@ def test_penrose_identities(n):
         assert np.linalg.norm(prod - prod.conj().T, 2) <= PENROSE_TOL * scale
         assert np.linalg.norm(prod - ctx.proj_range, 2) <= PENROSE_TOL * scale
         assert np.linalg.norm(ctx.sqrt_a @ ctx.sqrt_a - a, 2) <= PENROSE_TOL * scale
-        # commuting spectral functions of the same matrix
-        assert np.linalg.norm(ctx.pinv_sqrt_a - ctx.pinv_a @ ctx.sqrt_a, 2) <= PENROSE_TOL
-        assert np.linalg.norm(ctx.pinv_sqrt_a - ctx.sqrt_a @ ctx.pinv_a, 2) <= PENROSE_TOL
-        assert np.linalg.norm(ctx.sqrt_a @ ctx.pinv_sqrt_a - ctx.proj_range, 2) <= PENROSE_TOL
+        # the range eigenpairs that reduce compresses with
+        v, w = ctx.eigvecs[:, :rank], ctx.eigvals[:rank]
+        assert np.linalg.norm(v.conj().T @ v - np.eye(rank), 2) <= PENROSE_TOL
+        assert np.linalg.norm((v * w) @ v.conj().T - a, 2) <= PENROSE_TOL
 
 
 # ------------------------------------------------------------ inner product
@@ -210,19 +212,47 @@ def test_diez_identity():
 def test_reduce_identity_weight():
     ctx = make_context(np.eye(2))
     t = Operator([[1, 2], [3, 4]], ctx)
-    assert np.allclose(reduce(t), t.t)
+    v = ctx.eigvecs
+    assert np.allclose(reduce(t), v.conj().T @ t.t @ v)
 
 
 def test_reduce_diagonal_by_hand():
     ctx = make_context(np.diag([4.0, 0.0]))
     t = Operator([[3, 0], [5, 6]], ctx)
-    assert np.allclose(reduce(t), [[3, 0], [0, 0]])
+    assert np.allclose(reduce(t), [[3]])
 
 
 def test_reduce_of_projection():
     ctx = gen_psd(3, 2, seed=3)
     p = Operator(ctx.proj_range, ctx)
-    assert np.linalg.norm(reduce(p) - ctx.proj_range, 2) < 1e-12
+    assert np.linalg.norm(reduce(p) - np.eye(ctx.rank), 2) < 1e-12
+
+
+@pytest.mark.parametrize("ensemble", ENSEMBLES)
+def test_reduce_is_the_compression_of_the_similarity_image(ensemble):
+    # A^{1/2} T (A^{1/2})^+ = V_r C V_r^*: the r x r compression C keeps the
+    # singular values (up to zeros), the nonzero eigenvalues and the radius.
+    # Both sides carry rounding of the unreduced T, so ||T|| scales the slack.
+    for n in range(1, 9):
+        for rank in range(1, n + 1):
+            for scale in (1e-6, 1.0, 1e6):
+                ctx = gen_psd(n, rank, seed=100 * n + rank)
+                t = gen_compatible(ctx, 7 * n + rank, ensemble, scale)
+                c = reduce(t)
+                image = ctx.sqrt_a @ t.t @ np.linalg.pinv(ctx.sqrt_a, hermitian=True)
+                size = 1.0 + np.linalg.norm(t.t, 2)
+                assert c.shape == (rank, rank)
+                padded = np.concatenate([np.linalg.svd(c, compute_uv=False), np.zeros(n - rank)])
+                sv_gap = np.abs(padded - np.linalg.svd(image, compute_uv=False)).max()
+                assert sv_gap <= COMPRESS_TOL * size
+                # the first n power sums fix the n eigenvalues (Newton's identities);
+                # computed eigenvalues would instead test eigvals' O(eps^(1/k)) error
+                # at the defective eigenvalues of nilpotent-lift and sparse operators
+                for k in range(1, n + 1):
+                    sums = [np.trace(np.linalg.matrix_power(m, k)) for m in (c, image)]
+                    assert abs(sums[0] - sums[1]) <= n * COMPRESS_TOL * size**k
+                omegas = [classical_numerical_radius(m).value for m in (c, image)]
+                assert abs(omegas[0] - omegas[1]) <= COMPRESS_TOL * size
 
 
 def test_reduce_requires_boundedness():

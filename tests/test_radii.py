@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from semihilbert import (
+    GenSpec,
+    InstanceWork,
     Operator,
     RouteDisagreement,
     ToleranceConfig,
     a_adjoint,
     a_numerical_radius,
+    a_numerical_radius_many,
     a_op_norm,
     a_spectral_radius,
     classical_numerical_radius,
@@ -17,12 +20,19 @@ from semihilbert import (
     im_a,
     make_context,
     omega_offdiag,
+    omega_offdiag_many,
     omega_real_part_sup,
     re_a,
     reduce,
 )
-from semihilbert.generators import ENSEMBLES, gen_a_unitary, gen_compatible, gen_psd
-from semihilbert.radii import validated_radius_batch
+from semihilbert.generators import (
+    ENSEMBLES,
+    gen_a_unitary,
+    gen_block_matrix,
+    gen_compatible,
+    gen_psd,
+)
+from semihilbert.radii import reduced_spectral_radius, validated_radius_batch
 
 from conftest import a_unit_samples, random_member
 
@@ -135,7 +145,7 @@ def test_weighted_radius_selfadjoint():
 def test_weighted_radius_rank_deficient_by_hand():
     ctx = make_context(np.diag([1.0, 0.0]))
     t = Operator([[1, 0], [3, 4]], ctx)
-    assert np.allclose(reduce(t), [[1, 0], [0, 0]])
+    assert np.allclose(reduce(t), [[1]])
     assert a_numerical_radius(t) == pytest.approx(1.0)
 
 
@@ -163,7 +173,7 @@ def test_adjoint_identity_check_has_norm_scaled_slack():
     r = reduce(t)
     slack = tol.cmp_atol * (1.0 + np.linalg.norm(r, 2))
     rng = np.random.default_rng(5)
-    e = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    e = rng.standard_normal(r.shape) + 1j * rng.standard_normal(r.shape)
     e /= np.linalg.norm(e, 2)
     stack = np.stack([r, r])
     exact = np.conj(np.swapaxes(stack, -1, -2))
@@ -276,6 +286,20 @@ def test_gelfand_envelope_dominates_and_converges():
         assert env[-1] <= r * 1.05 + 1e-6
 
 
+def test_gelfand_envelope_of_nearly_nilpotent_matrix_does_not_underflow():
+    # T^3 = delta I, so rho = delta^(1/3) and ||T^64||^(1/64) = delta^(21/64);
+    # unscaled, T^64 = delta^21 T underflows to zero and the cross-check fails
+    delta = 1e-16
+    t = np.diag([1.0, 1.0], 1)
+    t[2, 0] = delta
+    op = Operator(t, make_context(np.eye(3)))
+    assert abs(gelfand_envelope(op)[-1] / delta ** (21 / 64) - 1.0) <= 1e-12
+    assert abs(a_spectral_radius(op) / delta ** (1 / 3) - 1.0) <= 1e-6
+    # the same on a sparse reduction whose eigenbasis block is a Jordan-3 chain
+    work = InstanceWork(gen_block_matrix(GenSpec(n=6, d=1, rank=3, ensemble="sparse")))
+    assert reduced_spectral_radius(work.flat_reduced, work.tol) < 1e-5
+
+
 # ---------------------------------------------------------------- offdiag
 
 
@@ -323,6 +347,19 @@ def test_offdiag_pair_with_itself_is_the_numerical_radius(ensemble, tol):
             _, t = random_member(n, rank, seed=10 * n + rank, ensemble=ensemble)
             omega = a_numerical_radius(t, tol)
             assert abs(omega_offdiag(t, t, tol) - omega) <= 1e-13 * (1.0 + omega)
+
+
+def test_batches_mix_weights_of_different_rank():
+    # reductions are rank x rank, so the batch pads them to a common order
+    full, half = (random_member(4, rank, seed=rank) for rank in (4, 2))
+    ops = [full[1], half[1]]
+    batched = a_numerical_radius_many(ops)
+    for op, omega in zip(ops, batched):
+        assert abs(omega - a_numerical_radius(op)) <= 1e-13 * (1.0 + omega)
+    pairs = [(op, gen_compatible(ctx, 50 + k)) for k, (ctx, op) in enumerate((full, half))]
+    batched = omega_offdiag_many(pairs)
+    for (t, s), omega in zip(pairs, batched):
+        assert abs(omega - omega_offdiag(t, s)) <= 1e-13 * (1.0 + omega)
 
 
 def test_offdiag_requires_membership_of_both_operands():

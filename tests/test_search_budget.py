@@ -1,6 +1,7 @@
-"""Each weighted radius costs one circle search over half the circle, each
-block matrix one blockwise adjoint test, and each campaign instance one set of
-membership tests and reductions; all counted at every import site."""
+"""Each weighted radius costs one circle search over half the circle on
+matrices of the reduced order, each block matrix one blockwise adjoint test,
+and each campaign instance one set of membership tests and reductions; all
+counted at every import site."""
 
 import importlib
 import pkgutil
@@ -9,7 +10,11 @@ import pytest
 
 import semihilbert
 from semihilbert import GenSpec, ToleranceConfig, a_numerical_radius, campaign, evaluate_all
-from semihilbert.circle import sup_on_circle_batch
+from semihilbert.circle import (
+    phase_combo_norm_objective,
+    rotation_eig_objective,
+    sup_on_circle_batch,
+)
 from semihilbert.core import first_failure, reduce
 from semihilbert.radii import classical_numerical_radius, omega_real_part_sup
 
@@ -56,6 +61,25 @@ def test_evaluate_all_makes_two_searches(searches):
     # diagonal holds the diagonal radii; B3 is closed form
     evaluate_all(random_block_matrix(3, 2, 1, seed=9))
     assert searches == [1, 9]
+
+
+@pytest.mark.parametrize("rank, orders", [(2, [6, 2]), (4, [12, 4])])
+def test_evaluate_all_searches_matrices_of_the_reduced_order(monkeypatch, rank, orders):
+    # every reduction is compressed to range(A): the flattened radius searches
+    # (d r) x (d r) matrices and the pair problems r x r ones
+    seen = []  # matrix order each search objective is built on
+
+    def recording(build):
+        def counted(*mats):
+            seen.append(mats[0].shape[-1])
+            return build(*mats)
+
+        return counted
+
+    for build in (rotation_eig_objective, phase_combo_norm_objective):
+        assert patch_everywhere(monkeypatch, build, recording(build)) >= 1
+    evaluate_all(random_block_matrix(3, 4, rank, seed=9))
+    assert seen == orders
 
 
 def test_every_radius_search_samples_half_the_circle(monkeypatch):
