@@ -1,9 +1,9 @@
 """Block operator matrices over the d-fold lifted weight context.
 
 The lifted weight is the block-diagonal embedding of the base weight; its
-spectral caches are embedded blockwise rather than recomputed, so the lifted
-projection and pseudoinverse tiles are bit-identical to the base ones and
-route comparisons cannot be polluted by independent eigendecompositions.
+eigenpairs are embedded blockwise rather than recomputed, so the lifted
+eigenvectors are bit-identical tiles of the base ones and route comparisons
+cannot be polluted by independent eigendecompositions.
 
 Block layout is row-major with contiguous n x n tiles.  A single pair of
 reshape helpers (:func:`flatten` / :func:`split_blocks`) owns the indexing
@@ -54,7 +54,11 @@ class BlockMatrix:
 
 
 def lift(ctx: PsdContext, d: int) -> PsdContext:
-    """Block-diagonal embedding of a context, caches embedded not recomputed."""
+    """Block-diagonal embedding of a context, eigenpairs embedded not recomputed.
+
+    The lifted eigenpairs are the base ones tiled and sorted stably by
+    descending eigenvalue, so the range pairs come first.
+    """
     if d < 1:
         raise BadIndex(f"block count must be >= 1, got {d}")
     eye = np.eye(d)
@@ -64,9 +68,6 @@ def lift(ctx: PsdContext, d: int) -> PsdContext:
         a=np.kron(eye, ctx.a),
         eigvals=tiled[order],
         eigvecs=np.kron(eye, ctx.eigvecs)[:, order],
-        sqrt_a=np.kron(eye, ctx.sqrt_a),
-        pinv_a=np.kron(eye, ctx.pinv_a),
-        proj_range=np.kron(eye, ctx.proj_range),
     )
     for arr in fields.values():
         arr.setflags(write=False)

@@ -6,9 +6,11 @@ on first use: the blockwise adjoints, reductions and seminorms (the stacked
 primitives of :mod:`semihilbert.core` applied to the block grid), the
 (d, d) pair radii, whose diagonal holds the diagonal-block radii, and the
 flattened operator's reduction, adjoint and radius: two circle searches.
-The bounds are its methods; :meth:`InstanceWork.report` evaluates them
-against the radius and turns the values into gaps and hold flags with a
-scale-aware slack.  :func:`evaluate_all` is the one-call entry point.
+The row and real/imaginary-part terms are norms of the r x r reductions, so
+no n x n block product is formed.  The bounds are its methods;
+:meth:`InstanceWork.report` evaluates them against the radius and turns the
+values into gaps and hold flags with a scale-aware slack.
+:func:`evaluate_all` is the one-call entry point.
 """
 
 from __future__ import annotations
@@ -145,24 +147,26 @@ class InstanceWork:
 
     @cached_property
     def row_cross_norms(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row seminorms of sum_j T_ij T_ij^# (all j, and j != i)."""
-        d = self.bm.d
-        products = self.bm.blocks @ self.sharps  # (d, d, n, n): T_ij T_ij^#
-        full = products.sum(axis=1)
-        without_diag = full - products[np.arange(d), np.arange(d)]
-        sig = top_singular(reduce_stack(self.ctx, np.concatenate([full, without_diag])))
-        return sig[:d], sig[d:]
+        """Per-row seminorms of (sum_j T_ij T_ij^#)^{1/2} (all j, and j != i).
+
+        The reduction sends ``T^#`` to ``R^*``, so each is the norm of the
+        block row ``[R_i1 ... R_id]`` of reductions, the diagonal block zeroed
+        for j != i.
+        """
+        d, r = self.bm.d, self.ctx.rank
+        grids = np.stack([self.reduced_blocks, self.reduced_blocks])
+        grids[1, np.arange(d), np.arange(d)] = 0.0
+        full, without_diag = top_singular(np.swapaxes(grids, 2, 3).reshape(2, d, r, d * r))
+        return full, without_diag
 
     @cached_property
     def re_im_norms(self) -> tuple[np.ndarray, np.ndarray]:
-        """Weighted seminorms of the real and imaginary parts of diagonal blocks."""
+        """Weighted seminorms of the real and imaginary parts of diagonal blocks,
+        the norms of ``(R_ii + R_ii^*) / 2`` and ``(R_ii - R_ii^*) / 2i``."""
         d = self.bm.d
-        diag = self.bm.blocks[np.arange(d), np.arange(d)]
-        diag_sharp = self.sharps[np.arange(d), np.arange(d)]
-        re = (diag + diag_sharp) / 2.0
-        im = (diag - diag_sharp) / 2.0j
-        sig = top_singular(reduce_stack(self.ctx, np.concatenate([re, im])))
-        return sig[:d], sig[d:]
+        diag = self.reduced_blocks[np.arange(d), np.arange(d)]
+        diag_star = np.conj(np.swapaxes(diag, -1, -2))
+        return top_singular((diag + diag_star) / 2.0), top_singular((diag - diag_star) / 2.0j)
 
     @cached_property
     def offdiag_sq_rows(self) -> np.ndarray:
@@ -172,10 +176,9 @@ class InstanceWork:
         return sq.sum(axis=1)
 
     def thf1(self) -> float:
-        """Half-sum over rows of diagonal seminorm plus root of the row cross term."""
+        """Half-sum over rows of diagonal seminorm plus the norm of the block row."""
         full, _ = self.row_cross_norms
-        diag_norms = np.diagonal(self.norms)
-        return float(0.5 * (diag_norms + np.sqrt(full)).sum())
+        return float(0.5 * (np.diagonal(self.norms) + full).sum())
 
     def r2(self) -> float:
         """Half-sum of diagonal radii plus the quarter penalty d + sum of squared seminorms."""
@@ -213,9 +216,9 @@ class InstanceWork:
         return float(0.5 * np.sqrt(lam**2 + mu**2).sum())
 
     def maxdiag(self) -> float:
-        """Largest diagonal radius plus half-sum of off-diagonal row cross terms."""
+        """Largest diagonal radius plus half-sum of the off-diagonal block-row norms."""
         _, without_diag = self.row_cross_norms
-        return float(self.diag_omegas.max() + 0.5 * np.sqrt(without_diag).sum())
+        return float(self.diag_omegas.max() + 0.5 * without_diag.sum())
 
     def report(self, instance_id: str = "instance") -> BoundReport:
         """Radius, all seven bounds, gaps, hold flags, the B3-below-B7

@@ -1,15 +1,14 @@
 """Positive-semidefinite weight contexts and the operator calculus they induce.
 
 A :class:`PsdContext` wraps a Hermitian positive-semidefinite matrix ``A``
-together with the spectral caches everything else needs: its eigenpairs,
-``A^{1/2}``, the Moore-Penrose inverse of ``A`` and the orthogonal
-projection ``P`` onto ``range(A)``.  Vectors are measured by the seminorm
+together with its eigenpairs, the one representation of the weight: the
+``r = rank(A)`` nonzero pairs ``V_r``, ``Lambda_r`` span ``range(A)`` and the
+rest ``V_0`` its orthogonal complement.  Vectors are measured by the seminorm
 ``||x||_A = sqrt(x* A x)`` and operators by the induced seminorm.
 
 The workhorse is :func:`reduce`.  For an A-bounded operator ``T`` the image
-``A^{1/2} T (A^{1/2})^+`` is ``V_r C V_r^*``, with ``V_r``, ``Lambda_r`` the
-``r = rank(A)`` nonzero eigenpairs and ``C = Lambda_r^{1/2} V_r^* T V_r
-Lambda_r^{-1/2}``; the r x r matrix ``C`` has the image's classical norm,
+``A^{1/2} T (A^{1/2})^+`` is ``V_r C V_r^*`` with ``C = Lambda_r^{1/2} V_r^* T
+V_r Lambda_r^{-1/2}``; the r x r matrix ``C`` has the image's classical norm,
 numerical radius and spectral radius, which are the A-weighted ones of ``T``.
 The map is multiplicative on A-bounded operators and sends the weighted
 adjoint to the conjugate transpose, which the test suite exploits as an oracle.
@@ -17,7 +16,8 @@ adjoint to the conjugate transpose, which the test suite exploits as an oracle.
 Each formula has one home, a primitive on stacks ``(..., n, n)`` that covers
 one operator or a whole block grid in one call: :func:`top_singular`, the
 membership tests :func:`first_failure`, :func:`reduce_stack` and
-:func:`adjoint_stack`.  The per-operator functions are checked calls over them.
+:func:`adjoint_stack`, all built from ``V_r``, ``Lambda_r`` and ``V_0``.  The
+per-operator functions are checked calls over them.
 """
 
 from __future__ import annotations
@@ -87,11 +87,12 @@ def _frozen(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PsdContext:
-    """A Hermitian PSD weight matrix with its cached spectral companions.
+    """A Hermitian PSD weight matrix with its eigenpairs.
 
     Eigenvalues are stored in descending order; everything below
-    ``rank_rtol * lambda_max`` is truncated to exactly zero, and all
-    pseudoinverses are built from the truncated spectrum so that numerical
+    ``rank_rtol * lambda_max`` is truncated to exactly zero, so the first
+    ``rank`` columns of ``eigvecs`` span ``range(A)`` and the rest its
+    complement.  Every weighted formula reads these pairs, so numerical
     null-space leakage cannot contaminate downstream computations.
     """
 
@@ -99,9 +100,6 @@ class PsdContext:
     eigvals: np.ndarray
     eigvecs: np.ndarray
     rank: int
-    sqrt_a: np.ndarray
-    pinv_a: np.ndarray
-    proj_range: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -117,16 +115,8 @@ class PsdContext:
         return self.dim == other.dim and np.array_equal(self.a, other.a)
 
 
-def from_spectrum(eigvals: np.ndarray, eigvecs: np.ndarray, fn) -> np.ndarray:
-    """Apply ``fn`` to the nonzero eigenvalues and recompose the matrix."""
-    mapped = np.zeros_like(eigvals)
-    nz = eigvals > 0
-    mapped[nz] = fn(eigvals[nz])
-    return (eigvecs * mapped) @ eigvecs.conj().T
-
-
 def make_context(a, tol: ToleranceConfig = DEFAULT_TOL) -> PsdContext:
-    """Validate a Hermitian PSD matrix and build its spectral caches.
+    """Validate a Hermitian PSD matrix and compute its truncated eigenpairs.
 
     Raises NotHermitian when the asymmetry exceeds tolerance, NotPositive
     when an eigenvalue falls below ``-cmp_atol`` (smaller negatives are
@@ -154,9 +144,6 @@ def make_context(a, tol: ToleranceConfig = DEFAULT_TOL) -> PsdContext:
         eigvals=_frozen(w),
         eigvecs=_frozen(v),
         rank=rank,
-        sqrt_a=_frozen(from_spectrum(w, v, np.sqrt)),
-        pinv_a=_frozen(from_spectrum(w, v, lambda x: 1.0 / x)),
-        proj_range=_frozen(from_spectrum(w, v, np.ones_like)),
     )
 
 
@@ -206,18 +193,20 @@ def first_failure(
     """Index of the first matrix in a stack ``(..., n, n)`` failing membership, else None.
 
     Admitting a weighted adjoint, range(T* A) inside range(A), is the residual
-    ||(I - P) T* A|| against a slack scaled by ||A|| ||T||; with ``half`` the
-    test is boundedness for the seminorm, ||A^{1/2} T (I - P)|| against
-    ||A||^{1/2} ||T||.  A single failing matrix gives ``()``.
+    ||V_0^* T^* V_r Lambda_r|| (= ||(I - P) T* A||) against a slack scaled by
+    ||A|| ||T||; with ``half`` the test is boundedness for the seminorm,
+    ||Lambda_r^{1/2} V_r^* T V_0|| (= ||A^{1/2} T (I - P)||) against
+    ||A||^{1/2} ||T||.  A full-rank weight has no ``V_0`` and admits every
+    operator.  A single failing matrix gives ``()``.
     """
-    comp = np.eye(ctx.dim) - ctx.proj_range
-    if half:
-        resid = ctx.sqrt_a @ mats @ comp
-        scale = math.sqrt(ctx.norm)
-    else:
-        resid = comp @ np.conj(np.swapaxes(mats, -1, -2)) @ ctx.a
-        scale = ctx.norm
-    bad = top_singular(resid) > tol.cmp_atol * (1.0 + scale * top_singular(mats))
+    if ctx.rank == ctx.dim:
+        return None
+    v, w = ctx.eigvecs, ctx.eigvals[: ctx.rank]
+    leak = v[:, : ctx.rank].conj().T @ mats @ v[:, ctx.rank :]  # V_r^* T V_0
+    # the adjoint residual is the conjugate transpose of Lambda_r V_r^* T V_0
+    weight, scale = (np.sqrt(w), math.sqrt(ctx.norm)) if half else (w, ctx.norm)
+    resid = top_singular(weight[:, None] * leak)
+    bad = resid > tol.cmp_atol * (1.0 + scale * top_singular(mats))
     if not bad.any():
         return None
     return tuple(int(k) for k in np.argwhere(bad)[0])
@@ -230,8 +219,13 @@ def reduce_stack(ctx: PsdContext, mats: np.ndarray) -> np.ndarray:
 
 
 def adjoint_stack(ctx: PsdContext, mats: np.ndarray) -> np.ndarray:
-    """Weighted adjoints ``A^+ T* A`` of a stack ``(..., n, n)``, unchecked."""
-    return ctx.pinv_a @ np.conj(np.swapaxes(mats, -1, -2)) @ ctx.a
+    """Weighted adjoints ``A^+ T* A`` of a stack ``(..., n, n)``, unchecked.
+
+    Computed on range(A) as ``V_r (Lambda_r^{-1} (V_r^* T^* V_r) Lambda_r) V_r^*``.
+    """
+    v, w = ctx.eigvecs[:, : ctx.rank], ctx.eigvals[: ctx.rank]
+    inner = v.conj().T @ np.conj(np.swapaxes(mats, -1, -2)) @ v
+    return v @ (inner * (w / w[:, None])) @ v.conj().T
 
 
 def in_ba(op: Operator, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

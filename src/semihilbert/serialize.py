@@ -1,7 +1,7 @@
 """JSON and CSV wire formats.
 
 Matrices travel as row-major arrays of [re, im] pairs.  Contexts serialize
-their source matrix only; spectral caches are rebuilt on load.  Report
+their source matrix only; eigenpairs are recomputed on load.  Report
 files written by the campaign runner contain no timing data so that
 repeated runs with identical configuration are byte-identical.
 """

@@ -3,13 +3,25 @@
 import numpy as np
 import pytest
 
-from semihilbert import Operator, bounds, make_context
+from semihilbert import DEFAULT_TOL, Operator, bounds, make_context
 from semihilbert.generators import gen_compatible, gen_psd
 
 
 @pytest.fixture
 def identity_ctx():
     return make_context(np.eye(2))
+
+
+def weight_oracle(a, tol=DEFAULT_TOL):
+    """Pseudoinverse, range projection and square root of the PSD matrix ``a``.
+
+    Built from this helper's own ``eigh`` with the ``rank_rtol`` cutoff and no
+    code of the package, so tests can check the package's weight formulas.
+    """
+    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+    keep = w >= tol.rank_rtol * w.max()
+    v, w = v[:, keep], w[keep]
+    return (v / w) @ v.conj().T, v @ v.conj().T, (v * np.sqrt(w)) @ v.conj().T
 
 
 def random_member(n, rank, seed, ensemble="ginibre"):

@@ -33,6 +33,8 @@ from semihilbert import (
 from semihilbert.core import spectral_norm
 from semihilbert.generators import gen_compatible, gen_psd
 
+from conftest import weight_oracle
+
 SLACK = 1e-8
 
 
@@ -62,8 +64,12 @@ def test_lift_embeds_caches_exactly():
     ctx = gen_psd(3, 2, seed=9)
     lifted = lift(ctx, 2)
     eye = np.eye(2)
-    for name in ("a", "sqrt_a", "pinv_a", "proj_range"):
-        assert np.array_equal(getattr(lifted, name), np.kron(eye, getattr(ctx, name)))
+    assert np.array_equal(lifted.a, np.kron(eye, ctx.a))
+    # the eigenpairs are the base ones tiled, columns sorted by descending eigenvalue
+    tiled = np.tile(ctx.eigvals, 2)
+    order = np.argsort(-tiled, kind="stable")
+    assert np.array_equal(lifted.eigvecs, np.kron(eye, ctx.eigvecs)[:, order])
+    assert np.array_equal(lifted.eigvals, tiled[order])
     assert np.all(np.diff(lifted.eigvals) <= 0)
     # the range spectrum that reduce compresses with is the base one, tiled
     r = ctx.rank
@@ -186,10 +192,11 @@ def test_u_k_sharp_is_projected_permutation():
         bm = u_k(k, d, ctx)
         flat = flatten(bm)
         sharp = a_adjoint(flat).t
-        projected = bm.lifted_ctx.proj_range @ flat.t
+        _, proj, _ = weight_oracle(bm.lifted_ctx.a)
+        projected = proj @ flat.t
         assert spectral_norm(sharp - projected) <= 1e-12 * (1.0 + 1.0)
         # double application recovers the lifted projection
-        assert spectral_norm(sharp @ flat.t - bm.lifted_ctx.proj_range) <= 1e-12
+        assert spectral_norm(sharp @ flat.t - proj) <= 1e-12
 
 
 def test_u_k_is_weighted_unitary():

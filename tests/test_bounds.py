@@ -144,6 +144,34 @@ def test_single_block_bounds_are_its_pair_radius(ensemble):
     assert abs(pair - work.omega) <= 1e-13 * (1.0 + work.omega)
 
 
+@pytest.mark.parametrize("n, rank", [(2, 1), (3, 1), (4, 2)])
+def test_row_terms_of_blocks_with_zero_reduction_vanish(n, rank):
+    # off-diagonal blocks V b V^* with b[:r, :] = 0 reduce to zero, so B6 is the
+    # largest diagonal radius and B1 the sum of the diagonal seminorms; a square
+    # root of the rounding in an n x n block product would inflate both
+    d = 3
+    for seed in range(20):
+        rng = np.random.default_rng(1000 * n + seed)
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        v, _ = np.linalg.qr(z)
+        lam = np.zeros(n)
+        lam[:rank] = rng.uniform(0.1, 2.0, size=rank)
+        ctx = make_context((v * lam) @ v.conj().T)
+        grid = np.zeros((d, d, n, n), dtype=complex)
+        for i in range(d):
+            for j in range(d):
+                if i == j:
+                    grid[i, i] = gen_compatible(ctx, 7 * seed + i).t
+                else:
+                    b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                    b[:rank, :] = 0.0
+                    grid[i, j] = v @ b @ v.conj().T
+        work = InstanceWork(assemble(grid, ctx))
+        slack = 1e-13 * (1.0 + work.omega)
+        assert abs(work.maxdiag() - work.diag_omegas.max()) <= slack
+        assert abs(work.thf1() - np.diagonal(work.norms).sum()) <= slack
+
+
 def test_offdiag_refinement_is_strict_somewhere():
     strict = 0
     for seed in range(10):

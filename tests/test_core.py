@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from semihilbert import (
+    DEFAULT_TOL,
     ABoundednessWarning,
     DimensionMismatch,
     NotABounded,
@@ -27,11 +28,11 @@ from semihilbert import (
     semi_inner,
     semi_norm,
 )
-from semihilbert.core import first_failure
+from semihilbert.core import adjoint_stack, first_failure
 from semihilbert.generators import ENSEMBLES, gen_compatible, gen_psd
 from semihilbert.serialize import matrix_from_json
 
-from conftest import a_unit_samples, random_member
+from conftest import a_unit_samples, random_member, weight_oracle
 
 PENROSE_TOL = 1e-10
 DOUGLAS_TOL = 1e-10
@@ -48,16 +49,15 @@ COMPRESS_TOL = 1e-13
 def test_context_diagonal_rank_one():
     ctx = make_context(np.diag([2.0, 0.0]))
     assert ctx.rank == 1
-    assert np.allclose(ctx.pinv_a, np.diag([0.5, 0.0]))
-    assert np.allclose(ctx.proj_range, np.diag([1.0, 0.0]))
+    assert np.array_equal(ctx.eigvals, [2.0, 0.0])
+    assert np.allclose(np.abs(ctx.eigvecs), np.eye(2))
 
 
 def test_context_identity():
     ctx = make_context(np.eye(2))
     assert ctx.rank == 2
-    assert np.allclose(ctx.pinv_a, np.eye(2))
-    assert np.allclose(ctx.sqrt_a, np.eye(2))
-    assert np.allclose(ctx.proj_range, np.eye(2))
+    assert np.array_equal(ctx.eigvals, [1.0, 1.0])
+    assert np.allclose(ctx.eigvecs @ ctx.eigvecs.conj().T, np.eye(2))
 
 
 def test_context_sqrt_against_independent_eigendecomposition():
@@ -67,8 +67,9 @@ def test_context_sqrt_against_independent_eigendecomposition():
     # independent oracle: recompose the square root from numpy's eigh directly
     w, v = np.linalg.eigh(a)
     sqrt_oracle = (v * np.sqrt(w)) @ v.conj().T
-    assert np.linalg.norm(ctx.sqrt_a - sqrt_oracle, 2) < 1e-12
-    assert np.linalg.norm(ctx.sqrt_a @ ctx.sqrt_a - a, 2) < 1e-12
+    sqrt_a = (ctx.eigvecs * np.sqrt(ctx.eigvals)) @ ctx.eigvecs.conj().T
+    assert np.linalg.norm(sqrt_a - sqrt_oracle, 2) < 1e-12
+    assert np.linalg.norm(sqrt_a @ sqrt_a - a, 2) < 1e-12
 
 
 def test_context_rejects_bad_input():
@@ -86,14 +87,17 @@ def test_context_rejects_bad_input():
 def test_penrose_identities(n):
     for rank in range(1, n + 1):
         ctx = gen_psd(n, rank, seed=31 * n + rank)
-        a, pinv = ctx.a, ctx.pinv_a
+        a = ctx.a
+        pinv, proj, root = weight_oracle(a)
         scale = 1.0 + ctx.norm
         assert np.linalg.norm(a @ pinv @ a - a, 2) <= PENROSE_TOL * scale
         assert np.linalg.norm(pinv @ a @ pinv - pinv, 2) <= PENROSE_TOL * scale
         prod = a @ pinv
         assert np.linalg.norm(prod - prod.conj().T, 2) <= PENROSE_TOL * scale
-        assert np.linalg.norm(prod - ctx.proj_range, 2) <= PENROSE_TOL * scale
-        assert np.linalg.norm(ctx.sqrt_a @ ctx.sqrt_a - a, 2) <= PENROSE_TOL * scale
+        assert np.linalg.norm(prod - proj, 2) <= PENROSE_TOL * scale
+        assert np.linalg.norm(root @ root - a, 2) <= PENROSE_TOL * scale
+        # the package's adjoint of the identity is A^+ A, the range projection
+        assert np.linalg.norm(adjoint_stack(ctx, np.eye(n)) - proj, 2) <= PENROSE_TOL * scale
         # the range eigenpairs that reduce compresses with
         v, w = ctx.eigvecs[:, :rank], ctx.eigvals[:rank]
         assert np.linalg.norm(v.conj().T @ v - np.eye(rank), 2) <= PENROSE_TOL
@@ -154,6 +158,50 @@ def test_in_ba_implies_in_ba_half():
         assert in_ba(op) and in_ba_half(op)
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("half", [False, True])
+def test_membership_flips_at_its_slack(half, scale):
+    # plant the leak V_r^* T V_0 so that the residual ||Lambda_r^p V_r^* T V_0||,
+    # from this test's own eigh, is 0.5 and then 2 times its slack
+    # cmp_atol (1 + ||A||^p ||T||), with p = 1/2 for boundedness, 1 for the adjoint
+    per_matrix = in_ba_half if half else in_ba
+    power = 0.5 if half else 1.0
+    for n, rank in ((3, 1), (4, 2)):
+        seed = 10 * n + rank
+        ctx = make_context(scale * gen_psd(n, rank, seed).a)
+        w, v = np.linalg.eigh(ctx.a)
+        w, v = w[::-1], v[:, ::-1]
+        vr, v0, weight = v[:, :rank], v[:, rank:], w[:rank] ** power
+
+        def residual(t):
+            return np.linalg.norm(weight[:, None] * (vr.conj().T @ t @ v0), 2)
+
+        def slack(t):
+            return DEFAULT_TOL.cmp_atol * (1.0 + w[0] ** power * np.linalg.norm(t, 2))
+
+        rng = np.random.default_rng(seed)
+        base = gen_compatible(ctx, seed).t
+        g = rng.standard_normal((rank, n - rank)) + 1j * rng.standard_normal((rank, n - rank))
+        direction = vr @ g @ v0.conj().T
+        planted = {}
+        for factor in (0.5, 2.0):
+            t = base
+            for _ in range(4):  # ||T|| moves with the leak, so iterate to the fixed point
+                t = base + factor * slack(t) / residual(direction) * direction
+            assert residual(t) / slack(t) == pytest.approx(factor, rel=1e-6)
+            planted[factor] = t
+            inside = factor < 1.0
+            assert per_matrix(Operator(t, ctx)) is inside
+            assert first_failure(ctx, t, half=half) == (None if inside else ())
+        stack = np.stack([planted[0.5], planted[2.0], planted[2.0]])
+        assert first_failure(ctx, stack, half=half) == (1,)
+
+        full = make_context(scale * gen_psd(n, n, seed).a)
+        for t in (planted[2.0], 1e6 * planted[2.0]):
+            assert in_ba(Operator(t, full)) and in_ba_half(Operator(t, full))
+            assert first_failure(full, t, half=half) is None
+
+
 # ----------------------------------------------------------------- adjoint
 
 
@@ -171,8 +219,9 @@ def test_adjoint_rank_deficient_by_hand():
 
 def test_adjoint_of_range_projection_is_itself():
     ctx = gen_psd(4, 2, seed=11)
-    p = Operator(ctx.proj_range, ctx)
-    assert np.linalg.norm(a_adjoint(p).t - ctx.proj_range, 2) < 1e-12
+    _, proj, _ = weight_oracle(ctx.a)
+    p = Operator(proj, ctx)
+    assert np.linalg.norm(a_adjoint(p).t - proj, 2) < 1e-12
 
 
 def test_adjoint_requires_membership():
@@ -189,7 +238,8 @@ def test_adjoint_solves_weighted_equation(n, rank):
         scale = 1.0 + ctx.norm * np.linalg.norm(op.t, 2)
         assert np.linalg.norm(ctx.a @ sharp.t - op.t.conj().T @ ctx.a, 2) <= DOUGLAS_TOL * scale
         twice = a_adjoint(sharp)
-        compressed = ctx.proj_range @ op.t @ ctx.proj_range
+        _, proj, _ = weight_oracle(ctx.a)
+        compressed = proj @ op.t @ proj
         assert np.linalg.norm(twice.t - compressed, 2) <= DOUGLAS_TOL * scale
         assert abs(a_op_norm(sharp) - a_op_norm(op)) <= NORM_EQ_TOL * scale
 
@@ -224,7 +274,7 @@ def test_reduce_diagonal_by_hand():
 
 def test_reduce_of_projection():
     ctx = gen_psd(3, 2, seed=3)
-    p = Operator(ctx.proj_range, ctx)
+    p = Operator(weight_oracle(ctx.a)[1], ctx)
     assert np.linalg.norm(reduce(p) - np.eye(ctx.rank), 2) < 1e-12
 
 
@@ -239,7 +289,8 @@ def test_reduce_is_the_compression_of_the_similarity_image(ensemble):
                 ctx = gen_psd(n, rank, seed=100 * n + rank)
                 t = gen_compatible(ctx, 7 * n + rank, ensemble, scale)
                 c = reduce(t)
-                image = ctx.sqrt_a @ t.t @ np.linalg.pinv(ctx.sqrt_a, hermitian=True)
+                root = weight_oracle(ctx.a)[2]
+                image = root @ t.t @ np.linalg.pinv(root, hermitian=True)
                 size = 1.0 + np.linalg.norm(t.t, 2)
                 assert c.shape == (rank, rank)
                 padded = np.concatenate([np.linalg.svd(c, compute_uv=False), np.zeros(n - rank)])

@@ -23,6 +23,8 @@ from semihilbert.generators import (
     gen_psd,
 )
 
+from conftest import weight_oracle
+
 SLACK = 1e-8
 
 
@@ -35,7 +37,7 @@ def test_gen_psd_full_rank():
 def test_gen_psd_rank_one_projection():
     ctx = gen_psd(2, 1, seed=1)
     assert ctx.rank == 1
-    assert np.trace(ctx.proj_range).real == pytest.approx(1.0, abs=1e-10)
+    assert np.trace(weight_oracle(ctx.a)[1]).real == pytest.approx(1.0, abs=1e-10)
 
 
 def test_gen_psd_deterministic():

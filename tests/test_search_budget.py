@@ -15,7 +15,7 @@ from semihilbert.circle import (
     rotation_eig_objective,
     sup_on_circle_batch,
 )
-from semihilbert.core import first_failure, reduce
+from semihilbert.core import first_failure, reduce, reduce_stack
 from semihilbert.radii import classical_numerical_radius, omega_real_part_sup
 
 from conftest import random_member
@@ -143,3 +143,17 @@ def test_campaign_instance_tests_membership_four_times_and_reduces_twice(monkeyp
     assert len(tests) == 4
     assert tests.count((3, 3)) == 1
     assert reductions == [9, 9]
+
+
+def test_evaluate_all_reduces_four_stacks(monkeypatch):
+    # the flattened operator and its adjoint, then the (d, d) blocks and their
+    # adjoints; every row and real/imaginary-part term reads those reductions
+    batches = []  # batch shape of every reduction
+
+    def counted(ctx, mats):
+        batches.append(mats.shape[:-2])
+        return reduce_stack(ctx, mats)
+
+    assert patch_everywhere(monkeypatch, reduce_stack, counted) >= 2
+    evaluate_all(random_block_matrix(3, 2, 1, seed=9))
+    assert batches == [(), (), (3, 3), (3, 3)]

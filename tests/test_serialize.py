@@ -42,7 +42,8 @@ def test_context_serializes_source_only():
     assert set(data) == {"a"}
     again = context_from_json(data)
     assert np.array_equal(again.a, ctx.a)
-    assert np.array_equal(again.pinv_a, ctx.pinv_a)
+    assert np.array_equal(again.eigvals, ctx.eigvals)
+    assert np.array_equal(again.eigvecs, ctx.eigvecs)
 
 
 def test_block_matrix_roundtrip():
