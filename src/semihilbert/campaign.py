@@ -7,7 +7,9 @@ instance builds one :class:`InstanceWork`, which produces the bound report
 and then feeds a small suite of cheap structural invariants (seminorm
 equivalence, spectral domination, comparison-matrix inequalities, blockwise
 versus lifted adjoint) from the same cached reductions; their failures count
-as violations.
+as violations.  An instance that raises a package or linear-algebra error is
+recorded in the summary's ``instance_errors``, also a violation, and the
+campaign goes on.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .blockops import flatten
 from .bounds import BOUND_KEYS, BoundReport, InstanceWork
 from .config import DEFAULT_TOL, ToleranceConfig
 from .core import spectral_norm
+from .errors import SemiHilbertError
 from .generators import GenSpec, gen_block_matrix
 from .radii import classical_spectral_radius, reduced_spectral_radius
 from .serialize import reports_to_csv_text, reports_to_json_text
@@ -104,21 +107,27 @@ def _instance_id(gi: int, spec: GenSpec, seed: int) -> str:
     return f"g{gi:02d}-d{spec.d}n{spec.n}r{spec.rank}-{spec.ensemble}-s{seed:06d}"
 
 
-def _run_instance(payload) -> tuple[str, BoundReport, list[str]]:
+def _run_instance(payload) -> tuple[str, BoundReport | None, list[str], dict | None]:
+    """Instance id, report, failed invariants and, when it raised, the error record."""
     gi, spec, trial, tol = payload
     seed = spec.seed + trial
     instance_id = _instance_id(gi, spec, seed)
-    work = InstanceWork(gen_block_matrix(replace(spec, seed=seed), tol), tol)
-    report = work.report(instance_id)
-    return instance_id, report, instance_invariants(work, report)
+    try:
+        work = InstanceWork(gen_block_matrix(replace(spec, seed=seed), tol), tol)
+        report = work.report(instance_id)
+        return instance_id, report, instance_invariants(work, report), None
+    except (SemiHilbertError, np.linalg.LinAlgError) as exc:
+        error = {"instance_id": instance_id, "error": type(exc).__name__, "message": str(exc)}
+        return instance_id, None, [], error
 
 
 def run_campaign(cfg: CampaignConfig) -> CampaignResult:
     """Generate, evaluate and summarize trials x gens instances.
 
     Writes per-instance reports (and a summary) when an output path is
-    configured.  The summary counts violations per bound and per invariant;
-    the campaign is considered failed when any count is nonzero.
+    configured.  The summary counts violations per bound and per invariant
+    and lists the instances that raised, which have no report; the campaign
+    is considered failed when any count is nonzero or any instance raised.
     """
     t_start = time.perf_counter()
     payloads = [
@@ -133,11 +142,12 @@ def run_campaign(cfg: CampaignConfig) -> CampaignResult:
         rows = [_run_instance(p) for p in payloads]
     rows.sort(key=lambda r: r[0])
 
-    reports = [r[1] for r in rows]
+    reports = [r[1] for r in rows if r[1] is not None]
     invariant_failures = {r[0]: r[2] for r in rows if r[2]}
+    instance_errors = [r[3] for r in rows if r[3] is not None]
 
     bound_violations = {k: sum(not r.holds[k] for r in reports) for k in BOUND_KEYS}
-    min_gap = {k: min(r.gaps[k] for r in reports) for k in BOUND_KEYS}
+    min_gap = {k: min((r.gaps[k] for r in reports), default=None) for k in BOUND_KEYS}
     refinement_failures = sum(not r.refinement_ok for r in reports)
     invariant_violations = dict(Counter(n for names in invariant_failures.values() for n in names))
 
@@ -145,6 +155,7 @@ def run_campaign(cfg: CampaignConfig) -> CampaignResult:
         sum(bound_violations.values())
         + refinement_failures
         + sum(invariant_violations.values())
+        + len(instance_errors)
     )
     summary = {
         "instances": len(reports),
@@ -152,6 +163,7 @@ def run_campaign(cfg: CampaignConfig) -> CampaignResult:
         "bound_violations": bound_violations,
         "refinement_failures": refinement_failures,
         "invariant_violations": invariant_violations,
+        "instance_errors": instance_errors,
         "min_gap": min_gap,
         "wall_time_s": time.perf_counter() - t_start,
     }

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 
 @dataclass(frozen=True)
@@ -19,7 +21,9 @@ class ToleranceConfig:
                       full-circle search samples theta_samples points and
                       a pi-periodic objective (every radius) samples [0, pi)
                       with half of them (rounded up)
-    theta_refine_tol  bracket width at which golden-section refinement stops
+    theta_refine_tol  angle resolution of the Newton refinement: it stops
+                      after a step no longer than this, or once the
+                      bracket around the peak is no wider
     gelfand_max_power largest operator power used by the spectral-radius
                       cross-check
     """
@@ -31,12 +35,15 @@ class ToleranceConfig:
     gelfand_max_power: int = 64
 
     def __post_init__(self):
-        if self.rank_rtol <= 0 or self.cmp_atol <= 0 or self.theta_refine_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.theta_samples < 8:
-            raise ValueError("theta_samples must be at least 8")
-        if self.gelfand_max_power < 1:
-            raise ValueError("gelfand_max_power must be at least 1")
+        # a NaN slack would make every "residual > slack" comparison False
+        for name in ("rank_rtol", "cmp_atol", "theta_refine_tol"):
+            value = getattr(self, name)
+            if not (isinstance(value, Real) and math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+        for name, least in (("theta_samples", 8), ("gelfand_max_power", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 DEFAULT_TOL = ToleranceConfig()

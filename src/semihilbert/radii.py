@@ -31,7 +31,9 @@ import numpy as np
 
 from .circle import (
     ThetaSearchResult,
+    phase_combo_derivatives,
     phase_combo_norm_objective,
+    rotation_eig_derivatives,
     rotation_eig_objective,
     sup_on_circle_batch,
 )
@@ -58,12 +60,36 @@ __all__ = [
 _DEFECTIVE_GUARD = 256.0 * math.sqrt(np.finfo(float).eps)
 
 
+def _rotation_search(mats: np.ndarray, tol: ToleranceConfig) -> list[ThetaSearchResult]:
+    """Suprema of ||H(t)||_2 over [0, pi) for a stack, H(t) the rotated Hermitian part."""
+    return sup_on_circle_batch(
+        rotation_eig_objective(mats), len(mats), tol, math.pi, rotation_eig_derivatives(mats)
+    )
+
+
+def _phase_combo_search(
+    lefts: np.ndarray, rights: np.ndarray, tol: ToleranceConfig
+) -> list[ThetaSearchResult]:
+    """Suprema of sigma_max(e^{i t} L + e^{-i t} R) over [0, pi) for stacked pairs.
+
+    The grid samples the cheaper Gram objective, and the refiner the
+    Hermitian dilation, whose eigenvectors give the derivatives.
+    """
+    return sup_on_circle_batch(
+        phase_combo_norm_objective(lefts, rights),
+        len(lefts),
+        tol,
+        math.pi,
+        phase_combo_derivatives(lefts, rights),
+    )
+
+
 def classical_numerical_radius(m, tol: ToleranceConfig = DEFAULT_TOL) -> ThetaSearchResult:
     """Numerical radius of a plain complex matrix via the circle supremum."""
     mats = np.asarray(m, dtype=np.complex128)[None]
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {mats.shape[1:]}")
-    return sup_on_circle_batch(rotation_eig_objective(mats), 1, tol, period=math.pi)[0]
+    return _rotation_search(mats, tol)[0]
 
 
 def classical_spectral_radius(m) -> float:
@@ -96,8 +122,7 @@ def omega_real_part_sup(op: Operator, tol: ToleranceConfig = DEFAULT_TOL) -> The
     """
     reduced = reduce(op, tol)
     sharp_reduced = reduce(a_adjoint(op, tol), tol)
-    objective = phase_combo_norm_objective(reduced[None] / 2.0, sharp_reduced[None] / 2.0)
-    return sup_on_circle_batch(objective, 1, tol, period=math.pi)[0]
+    return _phase_combo_search(reduced[None] / 2.0, sharp_reduced[None] / 2.0, tol)[0]
 
 
 def validated_radius_batch(
@@ -117,10 +142,7 @@ def validated_radius_batch(
     """
     if sharp_reduced is not None:
         check_adjoint_identity(reduced, sharp_reduced, tol)
-    results = sup_on_circle_batch(
-        rotation_eig_objective(reduced), len(reduced), tol, period=math.pi
-    )
-    return [r.value for r in results]
+    return [r.value for r in _rotation_search(reduced, tol)]
 
 
 def check_adjoint_identity(
@@ -239,10 +261,7 @@ def offdiag_sup_batch(
     The objective has period pi, so the search covers [0, pi).  With ``R = L^*``
     the value is the numerical radius of L: the bounds' diagonal-block radii.
     """
-    results = sup_on_circle_batch(
-        phase_combo_norm_objective(lefts, rights), len(lefts), tol, period=math.pi
-    )
-    return [r.value / 2.0 for r in results]
+    return [r.value / 2.0 for r in _phase_combo_search(lefts, rights, tol)]
 
 
 def omega_offdiag_many(

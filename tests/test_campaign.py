@@ -3,6 +3,7 @@
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from semihilbert import (
@@ -10,7 +11,9 @@ from semihilbert import (
     CampaignConfig,
     GenSpec,
     InstanceWork,
+    RouteDisagreement,
     ToleranceConfig,
+    campaign,
     gen_block_matrix,
     run_campaign,
 )
@@ -88,6 +91,41 @@ def test_corrupted_bound_is_reported(monkeypatch):
     assert result.summary["violations"] > 0
     assert result.summary["bound_violations"]["B3_th2"] == 4
     assert all(v == 0 for k, v in result.summary["bound_violations"].items() if k != "B3_th2")
+
+
+@pytest.mark.parametrize(
+    "error", [RouteDisagreement("routes differ"), np.linalg.LinAlgError("no convergence")]
+)
+def test_instance_error_is_recorded_and_the_campaign_goes_on(tmp_path, monkeypatch, error):
+    clean = tmp_path / "clean"
+    run_campaign(small_config(out=clean))
+    real = campaign.gen_block_matrix
+
+    def failing(spec, tol):
+        if spec.ensemble == "nilpotent-lift" and spec.seed == 102:
+            raise error
+        return real(spec, tol)
+
+    monkeypatch.setattr(campaign, "gen_block_matrix", failing)
+    result = run_campaign(small_config(out=tmp_path / "broken"))
+    summary = json.loads((tmp_path / "broken" / "summary.json").read_text())
+    assert summary["instance_errors"] == [
+        {
+            "instance_id": "g01-d2n2r1-nilpotent-lift-s000102",
+            "error": type(error).__name__,
+            "message": str(error),
+        }
+    ]
+    assert summary["instances"] == 7 and summary["violations"] == 1
+    kept = json.loads((clean / "reports.json").read_text())
+    assert json.loads((tmp_path / "broken" / "reports.json").read_text()) == [
+        r for r in kept if r["instance_id"] != "g01-d2n2r1-nilpotent-lift-s000102"
+    ]
+    assert len(result.reports) == 7
+
+
+def test_clean_campaign_records_no_instance_errors():
+    assert run_campaign(small_config(trials=1)).summary["instance_errors"] == []
 
 
 def test_corrupt_unknown_bound_rejected(monkeypatch):

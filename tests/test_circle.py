@@ -1,4 +1,4 @@
-"""Circle-parameter supremum search."""
+"""Circle-parameter supremum search and its Newton refiner."""
 
 import math
 
@@ -7,22 +7,63 @@ import pytest
 
 from semihilbert import ToleranceConfig, sup_on_circle, sup_on_circle_batch
 from semihilbert.circle import (
-    _SHRINK,
     TWO_PI,
+    phase_combo_derivatives,
     phase_combo_norm_objective,
+    rotation_eig_derivatives,
     rotation_eig_objective,
 )
 
 CAMPAIGN_TOL = ToleranceConfig(theta_samples=128, theta_refine_tol=1e-7)
 
 
+def trig_oracle(terms):
+    """Objective sum_k a_k cos(f_k (theta - s_k)) and its derivative oracle."""
+
+    def evaluate(thetas):
+        return sum(a * np.cos(f * (thetas - s)) for a, f, s in terms)
+
+    def derivatives(rows, thetas):
+        slope = sum(-a * f * np.sin(f * (thetas - s)) for a, f, s in terms)
+        curv = sum(-a * f * f * np.cos(f * (thetas - s)) for a, f, s in terms)
+        return evaluate(thetas), slope, curv
+
+    return evaluate, derivatives
+
+
+def counting(derivatives, calls):
+    """Wrap a derivative oracle so that every call appends its lane count."""
+
+    def counted(rows, thetas):
+        calls.append(len(rows))
+        return derivatives(rows, thetas)
+
+    return counted
+
+
+def rotation_search(mats, tol=CAMPAIGN_TOL, calls=None):
+    """Suprema of ||H(t)|| over [0, pi) for a stack, as the radii layer searches them."""
+    mats = np.asarray(mats, dtype=complex)
+    derivatives = rotation_eig_derivatives(mats)
+    if calls is not None:
+        derivatives = counting(derivatives, calls)
+    return sup_on_circle_batch(rotation_eig_objective(mats), len(mats), tol, math.pi, derivatives)
+
+
+def pair_search(lefts, rights, tol=CAMPAIGN_TOL):
+    return sup_on_circle_batch(
+        phase_combo_norm_objective(lefts, rights),
+        len(lefts),
+        tol,
+        math.pi,
+        phase_combo_derivatives(lefts, rights),
+    )
+
+
 def test_cosine_objective_refines_to_known_maximum():
     shift = 1.2345
-
-    def f(thetas):
-        return np.cos(thetas - shift)
-
-    res = sup_on_circle(f, ToleranceConfig(theta_samples=64, theta_refine_tol=1e-12))
+    f, derivatives = trig_oracle([(1.0, 1.0, shift)])
+    res = sup_on_circle(f, ToleranceConfig(theta_samples=64, theta_refine_tol=1e-12), derivatives)
     assert res.value == pytest.approx(1.0, abs=1e-12)
     assert res.argmax_theta == pytest.approx(shift, abs=1e-6)
     assert res.refined
@@ -31,21 +72,16 @@ def test_cosine_objective_refines_to_known_maximum():
 def test_argmax_wraps_into_the_period():
     # the peak sits just below pi, so its bracket centre comes out negative
     shift = 1e-3
-
-    def f(thetas):
-        return np.cos(2.0 * (thetas + shift))
-
-    res = sup_on_circle_batch(f, 1, ToleranceConfig(theta_samples=64), math.pi)[0]
+    f, derivatives = trig_oracle([(1.0, 2.0, -shift)])
+    res = sup_on_circle_batch(f, 1, ToleranceConfig(theta_samples=64), math.pi, derivatives)[0]
     assert res.argmax_theta == pytest.approx(math.pi - shift, abs=1e-6)
     assert res.value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_multimodal_objective_finds_global_peak():
     # two peaks of different height; the refiner must keep the taller one
-    def f(thetas):
-        return np.cos(thetas) + 0.8 * np.cos(2 * (thetas - 2.0))
-
-    res = sup_on_circle(f, ToleranceConfig(theta_samples=256))
+    f, derivatives = trig_oracle([(1.0, 1.0, 0.0), (0.8, 2.0, 2.0)])
+    res = sup_on_circle(f, ToleranceConfig(theta_samples=256), derivatives)
     grid = np.linspace(0, 2 * np.pi, 200_001)
     brute = f(grid[None, :]).max()
     assert res.value >= brute - 1e-9
@@ -56,83 +92,186 @@ def test_plateau_ties_resolve_to_smallest_angle():
     def f(thetas):
         return np.ones_like(thetas)
 
-    res = sup_on_circle(f, ToleranceConfig(theta_samples=32))
+    def derivatives(rows, thetas):
+        return f(thetas), np.zeros_like(thetas), np.zeros_like(thetas)
+
+    res = sup_on_circle(f, ToleranceConfig(theta_samples=32), derivatives)
     assert res.value == 1.0
     assert res.argmax_theta == 0.0
 
 
 def test_value_never_below_any_grid_sample():
+    # rotated Hermitian parts and pair combinations of several orders, against
+    # every sample of a 4096-point full-circle grid
     rng = np.random.default_rng(3)
-    m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    tol = ToleranceConfig(theta_samples=128)
-    objective = rotation_eig_objective(m[None])
-    res = sup_on_circle(objective, tol)
-    grid = np.arange(4096) * (2 * np.pi / 4096)
-    samples = objective(np.broadcast_to(grid, (1, 4096)))[0]
-    assert res.value >= samples.max() - 1e-10
+    grid = np.arange(4096) * (TWO_PI / 4096)
+    for n in (1, 2, 5, 9):
+        mats = random_stack(rng, 4, n)
+        objective = rotation_eig_objective(mats)
+        samples = objective(np.broadcast_to(grid, (4, grid.size))).max(axis=1)
+        for tol in (CAMPAIGN_TOL, ToleranceConfig()):
+            values = [r.value for r in rotation_search(mats, tol)]
+            assert np.all(values >= samples - 1e-14 * samples)
+        lefts, rights = random_stack(rng, 4, n), random_stack(rng, 4, n)
+        samples = phase_combo_norm_objective(lefts, rights)(np.broadcast_to(grid, (4, grid.size)))
+        values = [r.value for r in pair_search(lefts, rights)]
+        assert np.all(values >= samples.max(axis=1) * (1.0 - 1e-14))
 
 
 def test_batch_matches_single_runs():
     rng = np.random.default_rng(4)
     mats = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
     tol = ToleranceConfig(theta_samples=128)
-    batch = sup_on_circle_batch(rotation_eig_objective(mats), 5, tol)
+    batch = rotation_search(mats, tol)
     for k in range(5):
-        single = sup_on_circle(rotation_eig_objective(mats[k][None]), tol)
+        single = rotation_search(mats[k][None], tol)[0]
         assert batch[k].value == pytest.approx(single.value, abs=1e-12)
 
 
 def test_refinement_can_be_disabled_by_coarse_tolerance():
-    def f(thetas):
-        return np.cos(thetas)
-
-    res = sup_on_circle(f, ToleranceConfig(theta_samples=64, theta_refine_tol=1.0))
+    f, derivatives = trig_oracle([(1.0, 1.0, 0.3)])
+    res = sup_on_circle(f, ToleranceConfig(theta_samples=64, theta_refine_tol=1.0), derivatives)
     assert not res.refined
     assert res.value == pytest.approx(1.0, abs=1e-2)
 
 
-def contractions(tol):
-    """Golden-section steps that take the 2h starting bracket below the tolerance."""
-    width, steps = 2.0 * TWO_PI / tol.theta_samples, 0
-    while width > tol.theta_refine_tol:
-        width *= _SHRINK
-        steps += 1
-    return steps
+def test_search_without_derivatives_stops_at_the_grid():
+    f, _ = trig_oracle([(1.0, 1.0, 0.3)])
+    tol = ToleranceConfig(theta_samples=64)
+    res = sup_on_circle(f, tol)
+    assert not res.refined
+    assert res.value == f(np.arange(64) * (TWO_PI / 64)).max()
+
+
+# ------------------------------------------------------- closed-form oracles
+
+
+def test_flat_disk_stops_at_once():
+    # [[0, b], [0, 0]] (zero-padded) has a disk of radius |b|/2 as numerical
+    # range: ||H(t)|| is level, every angle is stationary, and each lane
+    # stops at its start whatever sign the rounded curvature takes
+    rng = np.random.default_rng(45)
+    draws = [1.0, 3.0 - 4.0j, 1e-8j, 1e8]
+    draws += list((rng.standard_normal(100) + 1j * rng.standard_normal(100)) * 10 ** rng.uniform(-6, 6, 100))
+    for k, b in enumerate(draws):
+        mat = np.zeros((2 + k % 4, 2 + k % 4), dtype=complex)
+        mat[0, 1] = b
+        for tol in (CAMPAIGN_TOL, ToleranceConfig()):
+            calls = []
+            res = rotation_search(mat[None], tol, calls)[0]
+            assert res.value == pytest.approx(abs(b) / 2.0, rel=1e-14)
+            assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_normal_matrix_radius_is_largest_eigenvalue_modulus(n):
+    rng = np.random.default_rng(40 + n)
+    q, _ = np.linalg.qr(random_stack(rng, 1, n)[0])
+    eigs = random_stack(rng, 1, n)[0, 0]
+    normal = (q * eigs) @ q.conj().T
+    for tol in (CAMPAIGN_TOL, ToleranceConfig()):
+        res = rotation_search(normal[None], tol)[0]
+        assert res.value == pytest.approx(np.abs(eigs).max(), rel=1e-14)
+
+
+def test_kink_where_both_spectral_ends_meet():
+    # e^{i a} diag(1, -1, 0.3): lambda_max = -lambda_min at every angle, so the
+    # objective's sign choice flips on rounding; the peak at t = -a is off the grid
+    mat = np.exp(0.3j) * np.diag([1.0, -1.0, 0.3])
+    for tol in (CAMPAIGN_TOL, ToleranceConfig()):
+        res = rotation_search(mat[None], tol)[0]
+        assert res.value == pytest.approx(1.0, rel=1e-15)
+        assert res.argmax_theta == pytest.approx(math.pi - 0.3, abs=1e-6)
+
+
+def test_zero_and_scalar_matrices():
+    zero, scalar = rotation_search(np.zeros((1, 3, 3))), rotation_search([[[2.0 - 1.5j]]])
+    assert zero[0].value == 0.0
+    assert scalar[0].value == pytest.approx(2.5, rel=1e-15)
+    pair = pair_search(np.zeros((1, 2, 2)), np.zeros((1, 2, 2)))
+    assert pair[0].value == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_rank_one_pair_radius(n):
+    # L = l x y^*, R = r x y^* with unit x, y: sigma_max(e^{it} L + e^{-it} R)
+    # = |e^{it} l + e^{-it} r|, whose supremum is |l| + |r|
+    rng = np.random.default_rng(50 + n)
+    x, y = random_stack(rng, 2, n)[:, 0]
+    outer = np.outer(x / np.linalg.norm(x), (y / np.linalg.norm(y)).conj())
+    l, r = 0.7 - 0.2j, -1.3j
+    for tol in (CAMPAIGN_TOL, ToleranceConfig()):
+        res = pair_search((l * outer)[None], (r * outer)[None], tol)[0]
+        assert res.value / 2.0 == pytest.approx((abs(l) + abs(r)) / 2.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e-4, 1.0, 1e4, 1e8])
+def test_radii_scale_with_the_matrices(scale):
+    rng = np.random.default_rng(60)
+    mats, lefts, rights = random_stack(rng, 4, 3), random_stack(rng, 4, 3), random_stack(rng, 4, 3)
+    base = [r.value for r in rotation_search(mats)]
+    scaled = [r.value for r in rotation_search(scale * mats)]
+    np.testing.assert_allclose(scaled, scale * np.array(base), rtol=1e-14)
+    base = [r.value for r in pair_search(lefts, rights)]
+    scaled = [r.value for r in pair_search(scale * lefts, scale * rights)]
+    np.testing.assert_allclose(scaled, scale * np.array(base), rtol=1e-14)
 
 
 @pytest.mark.parametrize(
-    "tol, period, expected",
+    "tol, period",
     [
-        pytest.param(CAMPAIGN_TOL, TWO_PI, 221, id="tol0-221"),
-        pytest.param(ToleranceConfig(), TWO_PI, 1177, id="tol1-1177"),
-        pytest.param(CAMPAIGN_TOL, math.pi, 157, id="tol0-pi-157"),
-        pytest.param(ToleranceConfig(), math.pi, 665, id="tol1-pi-665"),
+        pytest.param(CAMPAIGN_TOL, TWO_PI, id="tol0"),
+        pytest.param(ToleranceConfig(), TWO_PI, id="tol1"),
+        pytest.param(CAMPAIGN_TOL, math.pi, id="tol0-pi"),
+        pytest.param(ToleranceConfig(), math.pi, id="tol1-pi"),
     ],
 )
-def test_golden_section_evaluates_one_new_angle_per_peak_and_step(tol, period, expected):
-    # grid, both interior points of the first step for 3 peaks, one point per
-    # peak for every later step, then the 3 bracket centres; a period-pi
-    # search has half the grid at the same spacing, so the same step count
-    rng = np.random.default_rng(6)
-    mats = rng.standard_normal((4, 4, 4)) + 1j * rng.standard_normal((4, 4, 4))
+def test_newton_refinement_step_budget(tol, period):
+    # the grid is the only call of the objective; the refiner then takes at
+    # most 6 lockstep steps of one eigh each, with one lane per distinct grid
+    # peak (at most 3 per problem), where golden section needed 31 (tol0) or
+    # 53 (tol1) objective calls on 3 lanes per problem
+    mats = random_stack(np.random.default_rng(6), 4, 4)
     objective = rotation_eig_objective(mats)
-    calls = []
+    angles, lanes = [], []
 
     def counted(thetas):
-        values = objective(thetas)
-        calls.append(values)
-        return values
+        angles.append(thetas.shape[1])
+        return objective(thetas)
 
-    results = sup_on_circle_batch(counted, len(mats), tol, period)
-    m, steps = round(tol.theta_samples * period / TWO_PI), contractions(tol)
-    angles = sum(v.shape[1] for v in calls)
-    assert calls[0].shape[1] == m
-    assert angles == m + 6 + 3 * (steps - 1) + 3 == expected
-    grid_best = calls[0].max(axis=1)
-    for res, best in zip(results, grid_best):
+    results = sup_on_circle_batch(
+        counted, len(mats), tol, period, counting(rotation_eig_derivatives(mats), lanes)
+    )
+    m = math.ceil(tol.theta_samples * period / TWO_PI)
+    assert angles == [m]
+    samples = objective(np.broadcast_to(np.arange(m) * (period / m), (len(mats), m)))
+    peaks = (samples >= np.roll(samples, 1, axis=1)) & (samples >= np.roll(samples, -1, axis=1))
+    assert lanes[0] == np.minimum(peaks.sum(axis=1), 3).sum()
+    assert len(lanes) <= 6
+    for res, best in zip(results, samples.max(axis=1)):
         assert res.value >= best
         assert 0.0 <= res.argmax_theta < period
         assert res.samples == tol.theta_samples
+        assert res.refined
+
+
+def test_stationary_minimum_at_a_grid_peak_is_left():
+    # cos(t) + c (1 - cos(64 t)) equals cos(t) on the 64-point grid, so the
+    # grid peak is t = 0; there the slope is exactly 0 but the curvature
+    # -1 + 64^2 c is positive, and the true maxima sit between grid points
+    f, derivatives = trig_oracle([(1.0, 1.0, 0.0), (1e-3, 0.0, 0.0), (-1e-3, 64.0, 0.0)])
+    res = sup_on_circle(f, ToleranceConfig(theta_samples=64), derivatives)
+    grid = np.linspace(-0.1, 0.1, 200_001)
+    assert res.value >= f(grid).max() - 1e-12
+    assert res.value > 1.0 + 5e-4
+
+
+def test_single_peak_is_refined_on_one_lane():
+    f, derivatives = trig_oracle([(1.0, 1.0, 0.3)])
+    lanes = []
+    res = sup_on_circle(f, ToleranceConfig(theta_samples=64), counting(derivatives, lanes))
+    assert set(lanes) == {1}
+    assert res.value == pytest.approx(1.0, abs=1e-15)
 
 
 def lambda_max_on_full_circle(mats, points=4096):
@@ -151,8 +290,7 @@ def random_stack(rng, count, n):
 def test_half_circle_search_reaches_full_circle_lambda_max(n):
     # ||H(t)|| over [0, pi) covers lambda_max(H(t)) over the whole circle
     mats = random_stack(np.random.default_rng(10 + n), 6, n)
-    objective = rotation_eig_objective(mats)
-    results = sup_on_circle_batch(objective, len(mats), CAMPAIGN_TOL, math.pi)
+    results = rotation_search(mats)
     reference = lambda_max_on_full_circle(mats)
     for res, samples in zip(results, reference):
         assert res.value >= samples.max() - 1e-12 * max(1.0, samples.max())
@@ -169,7 +307,7 @@ def test_half_circle_search_reaches_full_circle_pair_objective(n):
     # pi-periodic: the combination at t + pi is the negative of the one at t
     shifted = objective(np.broadcast_to(full + math.pi, (len(lefts), full.size)))
     np.testing.assert_allclose(shifted, samples, rtol=1e-13, atol=0.0)
-    results = sup_on_circle_batch(objective, len(lefts), CAMPAIGN_TOL, math.pi)
+    results = pair_search(lefts, rights)
     for res, row in zip(results, samples):
         assert res.value >= row.max() - 1e-12 * row.max()
         assert 0.0 <= res.argmax_theta < math.pi
@@ -185,7 +323,7 @@ def test_odd_theta_samples_never_coarsen_the_half_circle_grid():
         calls.append(np.array(thetas))
         return objective(thetas)
 
-    results = sup_on_circle_batch(counted, len(mats), tol, math.pi)
+    results = sup_on_circle_batch(counted, len(mats), tol, math.pi, rotation_eig_derivatives(mats))
     grid = calls[0][0]
     assert grid.size == 65  # ceil(129 / 2)
     assert np.diff(grid).max() <= TWO_PI / 129

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from semihilbert import ConstructionFailed, campaign
 from semihilbert.cli import main
 from semihilbert.serialize import block_matrix_to_json, matrix_to_json
 
@@ -108,6 +109,19 @@ def test_verify_corrupted_bound_exits_nonzero(tmp_path, capsys, monkeypatch):
     assert code == 1
     summary = json.loads(capsys.readouterr().out)
     assert summary["bound_violations"]["B1_thf1"] > 0
+
+
+def test_verify_instance_error_exits_nonzero(tmp_path, capsys, monkeypatch):
+    cfg = campaign_file(tmp_path)
+
+    def failing(spec, tol):
+        raise ConstructionFailed("no draw admitted a weighted adjoint")
+
+    monkeypatch.setattr(campaign, "gen_block_matrix", failing)
+    assert main(["verify", "--config", cfg]) == 1
+    summary = json.loads(capsys.readouterr().out)
+    assert [e["error"] for e in summary["instance_errors"]] == ["ConstructionFailed"] * 2
+    assert summary["violations"] == 2 and summary["instances"] == 0
 
 
 def test_verify_output_from_config_file(tmp_path, capsys):

@@ -1,9 +1,13 @@
 """Tolerance configuration validation and error plumbing."""
 
+import json
+
 import numpy as np
 import pytest
 
 from semihilbert import GelfandDivergence, ToleranceConfig, a_spectral_radius
+from semihilbert.cli import main
+from semihilbert.serialize import matrix_to_json, tolerance_from_json
 from semihilbert.generators import gen_compatible, gen_psd
 import semihilbert.radii as radii
 
@@ -25,6 +29,11 @@ def test_tolerance_defaults():
         {"theta_samples": 4},
         {"theta_refine_tol": 0.0},
         {"gelfand_max_power": 0},
+        {"cmp_atol": float("nan")},
+        {"rank_rtol": float("inf")},
+        {"theta_refine_tol": float("nan")},
+        {"theta_samples": 64.5},
+        {"gelfand_max_power": 8.0},
     ],
 )
 def test_tolerance_rejects_bad_values(kwargs):
@@ -40,3 +49,13 @@ def test_gelfand_divergence_raised_on_broken_envelope(monkeypatch):
     )
     with pytest.raises(GelfandDivergence):
         a_spectral_radius(op)
+
+
+@pytest.mark.parametrize("field, raw", [("cmp_atol", "nan"), ("theta_refine_tol", "inf")])
+def test_cli_and_json_reject_non_finite_tolerances(tmp_path, field, raw):
+    a = tmp_path / "a.json"
+    a.write_text(json.dumps(matrix_to_json(np.eye(2))))
+    with pytest.raises(ValueError, match=field):
+        main(["compute", "--a", str(a), "--t", str(a), f"--{field.replace('_', '-')}", raw])
+    with pytest.raises(ValueError, match=field):
+        tolerance_from_json({field: float(raw)})

@@ -28,7 +28,7 @@ from semihilbert import (
     semi_inner,
     semi_norm,
 )
-from semihilbert.core import adjoint_stack, first_failure
+from semihilbert.core import adjoint_stack, first_failure, reduce_stack
 from semihilbert.generators import ENSEMBLES, gen_compatible, gen_psd
 from semihilbert.serialize import matrix_from_json
 
@@ -209,6 +209,35 @@ def test_adjoint_identity_weight_is_conjugate_transpose():
     ctx = make_context(np.eye(2))
     t = Operator([[0, 1], [0, 0]], ctx)
     assert np.allclose(a_adjoint(t).t, [[0, 0], [1, 0]])
+
+
+@pytest.mark.parametrize("ensemble", ENSEMBLES)
+def test_reduction_of_adjoint_stack_is_conjugate_transpose(ensemble):
+    """``reduce_stack(adjoint_stack(T)) = reduce_stack(T)^*`` for every T.
+
+    Both sides are ``Lambda_r^{-1/2} V_r^* T^* V_r Lambda_r^{1/2}``, whether or
+    not T admits a weighted adjoint, so a run-time comparison of the two can
+    only measure rounding and never flags a membership failure.  It pins the
+    formulas of ``adjoint_stack`` and ``reduce_stack`` instead: dropping the
+    Lambda scaling or a conjugation breaks it.
+    """
+    rng = np.random.default_rng([70, ENSEMBLES.index(ensemble)])
+    for n, rank in ((3, 1), (4, 2), (5, 5)):
+        ctx = gen_psd(n, rank, rng)
+        members = np.stack([gen_compatible(ctx, rng, ensemble).t for _ in range(4)])
+        others = rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n))
+        if rank < n:  # generic matrices leak out of range(A)
+            assert first_failure(ctx, others[0]) is not None
+        w = ctx.eigvals[: ctx.rank]
+        for stack in (members.reshape(2, 2, n, n), others):
+            reduced = reduce_stack(ctx, stack)
+            scale = np.linalg.norm(stack, 2, axis=(-2, -1)).max() * w.max() / w.min()
+            np.testing.assert_allclose(
+                reduce_stack(ctx, adjoint_stack(ctx, stack)),
+                np.conj(np.swapaxes(reduced, -1, -2)),
+                rtol=0.0,
+                atol=1e-14 * scale,
+            )
 
 
 def test_adjoint_rank_deficient_by_hand():
