@@ -6,6 +6,8 @@ on first use: the blockwise adjoints, reductions and seminorms (the stacked
 primitives of :mod:`semihilbert.core` applied to the block grid), the
 (d, d) pair radii, whose diagonal holds the diagonal-block radii, and the
 flattened operator's reduction, adjoint and radius: two circle searches.
+:func:`search_radii` runs those searches for many works in lockstep, one
+search per matrix order, and a lone work runs them through it too.
 The row and real/imaginary-part terms are norms of the r x r reductions, so
 no n x n block product is formed.  The bounds are its methods;
 :meth:`InstanceWork.report` evaluates them against the radius and turns the
@@ -18,6 +20,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +30,7 @@ from .core import Operator, a_adjoint, adjoint_stack, reduce, reduce_stack, top_
 from .errors import RouteDisagreement
 from .radii import check_adjoint_identity, offdiag_sup_batch, validated_radius_batch
 
-__all__ = ["BOUND_KEYS", "BoundReport", "InstanceWork", "evaluate_all"]
+__all__ = ["BOUND_KEYS", "BoundReport", "InstanceWork", "evaluate_all", "search_radii"]
 
 BOUND_KEYS = (
     "B1_thf1",
@@ -46,8 +49,12 @@ class BoundReport:
 
     Built by :meth:`InstanceWork.report`.  ``timing`` holds incremental
     seconds per quantity, ``omega`` first and then each bound in
-    ``BOUND_KEYS`` order; shared intermediates are charged to the first bound
-    that needs them: the pair search to B2, leaving B3 about 0.
+    ``BOUND_KEYS`` order.  A circle search may serve many instances in
+    lockstep (:func:`search_radii`), so each instance is charged the search's
+    seconds times its share of the search's problems: the flattened radius
+    under ``omega``, the pair radii under ``B2_r2``, the first bound that
+    reads them, leaving B3 about 0.  The reductions the searches read are
+    not timed.
     """
 
     instance_id: str
@@ -81,6 +88,8 @@ class InstanceWork:
         self.tol = tol
         self.ctx = bm.base_ctx
         _require_members(bm, tol)
+        # this work's share of the seconds of the searches that filled its radii
+        self.search_seconds = {"omega": 0.0, "pairs": 0.0}
 
     @cached_property
     def flat(self) -> Operator:
@@ -97,11 +106,20 @@ class InstanceWork:
         return a_adjoint(self.flat, self.tol)
 
     @cached_property
+    def flat_sharp_reduced(self) -> np.ndarray:
+        """Reduction of ``flat_sharp``, which the adjoint identity compares with
+        ``flat_reduced``."""
+        return reduce(self.flat_sharp, self.tol)
+
+    @cached_property
     def omega(self) -> float:
-        """Weighted numerical radius of the flattened operator, adjoint identity checked."""
-        return validated_radius_batch(
-            self.flat_reduced[None], reduce(self.flat_sharp, self.tol)[None], self.tol
-        )[0]
+        """Weighted numerical radius of the flattened operator, adjoint identity checked.
+
+        Filled, with ``pair_omegas``, by :func:`search_radii` on this work alone
+        unless a lockstep search over many works filled it first.
+        """
+        search_radii([self])
+        return self.__dict__["omega"]
 
     @cached_property
     def sharps(self) -> np.ndarray:
@@ -117,6 +135,12 @@ class InstanceWork:
     def reduced_sharps(self) -> np.ndarray:
         return reduce_stack(self.ctx, self.sharps)
 
+    def reductions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """What the radius searches read: the flattened reduction and that of its
+        adjoint, then the (d, d, r, r) blockwise reductions and those of the
+        blockwise adjoints."""
+        return self.flat_reduced, self.flat_sharp_reduced, self.reduced_blocks, self.reduced_sharps
+
     @cached_property
     def norms(self) -> np.ndarray:
         """Blockwise weighted seminorms as a (d, d) array."""
@@ -129,16 +153,10 @@ class InstanceWork:
         For i = j this is sup_theta ||Re_A(e^{i theta} T_ii)||_A = omega_A(T_ii), so
         the diagonal radii come from the same search.  The adjoint identity is
         checked on every block and the exchange symmetry asserted, not assumed.
+        Filled, with ``omega``, by :func:`search_radii`.
         """
-        d, r = self.bm.d, self.ctx.rank
-        lefts = self.reduced_blocks.reshape(d * d, r, r)
-        check_adjoint_identity(lefts, self.reduced_sharps.reshape(d * d, r, r), self.tol)
-        rights = np.swapaxes(self.reduced_sharps, 0, 1).reshape(d * d, r, r)
-        out = np.reshape(offdiag_sup_batch(lefts, rights, self.tol), (d, d))
-        asym = np.abs(out - out.T).max()
-        if asym > 1e-10 * (1.0 + out.max() + top_singular(self.bm.blocks).max()):
-            raise RouteDisagreement(f"pair radii are asymmetric by {asym:.3e}")
-        return out
+        search_radii([self])
+        return self.__dict__["pair_omegas"]
 
     @property
     def diag_omegas(self) -> np.ndarray:
@@ -223,14 +241,14 @@ class InstanceWork:
     def report(self, instance_id: str = "instance") -> BoundReport:
         """Radius, all seven bounds, gaps, hold flags, the B3-below-B7
         refinement verdict and timings."""
-        t0 = time.perf_counter()
         omega = self.omega
-        timing = {"omega": time.perf_counter() - t0}
+        timing = {"omega": self.search_seconds["omega"]}
         bounds: dict[str, float] = {}
         for key, method in _BOUND_METHODS.items():
             t0 = time.perf_counter()
             bounds[key] = method(self)
             timing[key] = time.perf_counter() - t0
+        timing["B2_r2"] += self.search_seconds["pairs"]
 
         slack = self.tol.cmp_atol * (1.0 + omega)
         return BoundReport(
@@ -253,6 +271,76 @@ _BOUND_METHODS = {
     "B6_maxdiag": InstanceWork.maxdiag,
     "B7_prior": InstanceWork.prior,
 }
+
+
+def search_radii(works: Sequence[InstanceWork]) -> None:
+    """Fill the ``omega`` and ``pair_omegas`` caches of ``works`` by lockstep searches.
+
+    The flattened radii run as one search per distinct tolerance and order
+    d r, the pair problems as one search per distinct tolerance and order r
+    over the concatenated d^2 pair stacks.  Nothing is padded, and lockstep
+    searches are independent per problem, so every value is bitwise the one
+    a search of that work alone gives.  Each work's adjoint identities and
+    pair symmetry are checked on its own rows.  A work is charged the
+    seconds of each search in proportion to its problems, in
+    ``search_seconds``.  Caches are written only once every search has
+    succeeded, so a search that raises leaves every work as it was.
+    """
+    for w in works:
+        w.reductions()  # before the clocks start: the timing covers the searches
+    omegas, pairs = [0.0] * len(works), [None] * len(works)
+    seconds = [{"omega": 0.0, "pairs": 0.0} for _ in works]
+    for tol, group in _groups(works, lambda w: len(w.flat_reduced)):
+        t0 = time.perf_counter()
+        values = validated_radius_batch(
+            np.stack([works[i].flat_reduced for i in group]),
+            np.stack([works[i].flat_sharp_reduced for i in group]),
+            tol,
+        )
+        share = (time.perf_counter() - t0) / len(group)
+        for i, value in zip(group, values):
+            omegas[i], seconds[i]["omega"] = value, share
+    for tol, group in _groups(works, lambda w: w.ctx.rank):
+        t0 = time.perf_counter()
+        grids = [works[i].reduced_blocks for i in group]
+        sharps = [works[i].reduced_sharps for i in group]
+        lefts = _pair_stack(grids)
+        check_adjoint_identity(lefts, _pair_stack(sharps), tol)
+        values = offdiag_sup_batch(lefts, _pair_stack([np.swapaxes(s, 0, 1) for s in sharps]), tol)
+        sizes = [len(g) ** 2 for g in grids]
+        for i, flat in zip(group, np.split(np.asarray(values), np.cumsum(sizes)[:-1])):
+            pairs[i] = _symmetric_pairs(works[i], flat)
+        per_problem = (time.perf_counter() - t0) / len(values)
+        for i, size in zip(group, sizes):
+            seconds[i]["pairs"] = per_problem * size
+    for w, omega, pair, spent in zip(works, omegas, pairs, seconds):
+        w.__dict__.update(omega=omega, pair_omegas=pair)
+        w.search_seconds = spent
+
+
+def _groups(works: Sequence[InstanceWork], order) -> list[tuple[ToleranceConfig, list[int]]]:
+    """Indices of ``works`` grouped by tolerance and ``order(work)``, in order
+    of first appearance."""
+    groups: dict[tuple, list[int]] = {}
+    for i, w in enumerate(works):
+        groups.setdefault((w.tol, order(w)), []).append(i)
+    return [(tol, group) for (tol, _), group in groups.items()]
+
+
+def _pair_stack(grids: list[np.ndarray]) -> np.ndarray:
+    """The (d, d, r, r) grids as one stack of r x r problems, each in row-major order."""
+    return np.concatenate([g.reshape(-1, *g.shape[-2:]) for g in grids])
+
+
+def _symmetric_pairs(work: InstanceWork, values: np.ndarray) -> np.ndarray:
+    """The d^2 pair radii of ``work`` as a (d, d) matrix, its exchange symmetry
+    asserted: each entry comes from its own search of the pair."""
+    d = work.bm.d
+    out = values.reshape(d, d)
+    asym = np.abs(out - out.T).max()
+    if asym > 1e-10 * (1.0 + out.max() + top_singular(work.bm.blocks).max()):
+        raise RouteDisagreement(f"pair radii are asymmetric by {asym:.3e}")
+    return out
 
 
 def evaluate_all(

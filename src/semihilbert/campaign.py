@@ -1,7 +1,7 @@
 """Randomized verification campaigns over bound evaluators and invariants.
 
 Each instance is generated from (spec, trial) alone, so campaigns can run
-instance-parallel and still produce byte-identical reports: workers return
+in parallel and still produce byte-identical reports: workers return
 results keyed by instance id and the merge is a deterministic sort.  Every
 instance builds one :class:`InstanceWork`, which produces the bound report
 and then feeds a small suite of cheap structural invariants (seminorm
@@ -10,6 +10,14 @@ versus lifted adjoint) from the same cached reductions; their failures count
 as violations.  An instance that raises a package or linear-algebra error is
 recorded in the summary's ``instance_errors``, also a violation, and the
 campaign goes on.
+
+The instances run in chunks of 16 consecutive ones, serially or one chunk
+per worker task.  A chunk generates and reduces each instance on its own,
+then searches the radii of all of them in lockstep, one circle search per
+matrix order (:func:`semihilbert.bounds.search_radii`): the 12 acceptance
+specs with one trial each make 10 searches for their 24 radius stacks.
+Lockstep searches are independent per problem, so the reports are bitwise
+those of instances run alone, whatever the chunking.
 """
 
 from __future__ import annotations
@@ -24,8 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from .blockops import flatten
-from .bounds import BOUND_KEYS, BoundReport, InstanceWork
-from .config import DEFAULT_TOL, ToleranceConfig
+from .bounds import BOUND_KEYS, BoundReport, InstanceWork, search_radii
+from .config import DEFAULT_TOL, ToleranceConfig, require_integer
 from .core import spectral_norm
 from .errors import SemiHilbertError
 from .generators import GenSpec, gen_block_matrix
@@ -33,6 +41,11 @@ from .radii import classical_spectral_radius, reduced_spectral_radius
 from .serialize import reports_to_csv_text, reports_to_json_text
 
 __all__ = ["CampaignConfig", "CampaignResult", "run_campaign", "instance_invariants"]
+
+# consecutive instances per chunk: a chunk searches its radii in lockstep, and
+# is the unit of work handed to a worker process
+_CHUNK = 16
+_INSTANCE_ERRORS = (SemiHilbertError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -48,14 +61,12 @@ class CampaignConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "gens", tuple(self.gens))
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        require_integer(self, "trials", 1)
+        require_integer(self, "parallelism", 1)
         if not self.gens:
             raise ValueError("gens must name at least one generation spec")
         if self.output_format not in ("json", "csv"):
             raise ValueError(f"unknown output format {self.output_format!r}")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
 
 
 @dataclass
@@ -107,18 +118,44 @@ def _instance_id(gi: int, spec: GenSpec, seed: int) -> str:
     return f"g{gi:02d}-d{spec.d}n{spec.n}r{spec.rank}-{spec.ensemble}-s{seed:06d}"
 
 
-def _run_instance(payload) -> tuple[str, BoundReport | None, list[str], dict | None]:
-    """Instance id, report, failed invariants and, when it raised, the error record."""
-    gi, spec, trial, tol = payload
-    seed = spec.seed + trial
-    instance_id = _instance_id(gi, spec, seed)
+def _error_row(instance_id: str, exc: Exception) -> tuple[str, None, list[str], dict]:
+    error = {"instance_id": instance_id, "error": type(exc).__name__, "message": str(exc)}
+    return instance_id, None, [], error
+
+
+def _run_chunk(chunk) -> list[tuple[str, BoundReport | None, list[str], dict | None]]:
+    """Instance id, report, failed invariants and, when it raised, the error
+    record of every payload in ``chunk``.
+
+    Generation, membership and the reductions run per instance; then one
+    :func:`search_radii` call fills the radii of every instance that got that
+    far, in one lockstep search per matrix order; the reports and invariants
+    run per instance again.  Should the lockstep search raise, it has filled
+    nothing, and each instance searches alone inside its report, so the error
+    is recorded against its own instance.
+    """
+    rows, works = [], {}
+    for gi, spec, trial, tol in chunk:
+        seed = spec.seed + trial
+        instance_id = _instance_id(gi, spec, seed)
+        try:
+            work = InstanceWork(gen_block_matrix(replace(spec, seed=seed), tol), tol)
+            work.reductions()
+        except _INSTANCE_ERRORS as exc:
+            rows.append(_error_row(instance_id, exc))
+        else:
+            works[instance_id] = work
     try:
-        work = InstanceWork(gen_block_matrix(replace(spec, seed=seed), tol), tol)
-        report = work.report(instance_id)
-        return instance_id, report, instance_invariants(work, report), None
-    except (SemiHilbertError, np.linalg.LinAlgError) as exc:
-        error = {"instance_id": instance_id, "error": type(exc).__name__, "message": str(exc)}
-        return instance_id, None, [], error
+        search_radii(list(works.values()))
+    except _INSTANCE_ERRORS:
+        pass  # the reports below search one instance at a time
+    for instance_id, work in works.items():
+        try:
+            report = work.report(instance_id)
+            rows.append((instance_id, report, instance_invariants(work, report), None))
+        except _INSTANCE_ERRORS as exc:
+            rows.append(_error_row(instance_id, exc))
+    return rows
 
 
 def run_campaign(cfg: CampaignConfig) -> CampaignResult:
@@ -135,12 +172,13 @@ def run_campaign(cfg: CampaignConfig) -> CampaignResult:
         for gi, spec in enumerate(cfg.gens)
         for trial in range(cfg.trials)
     ]
-    if cfg.parallelism > 1 and len(payloads) > 1:
+    chunks = [payloads[i : i + _CHUNK] for i in range(0, len(payloads), _CHUNK)]
+    if cfg.parallelism > 1 and len(chunks) > 1:
         with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
-            rows = list(pool.map(_run_instance, payloads, chunksize=16))
+            done = list(pool.map(_run_chunk, chunks))
     else:
-        rows = [_run_instance(p) for p in payloads]
-    rows.sort(key=lambda r: r[0])
+        done = [_run_chunk(c) for c in chunks]
+    rows = sorted((row for chunk_rows in done for row in chunk_rows), key=lambda r: r[0])
 
     reports = [r[1] for r in rows if r[1] is not None]
     invariant_failures = {r[0]: r[2] for r in rows if r[2]}

@@ -21,7 +21,9 @@ radius searches sample only [0, pi), at the spacing ``2*pi / theta_samples``
 or finer.
 
 Objectives receive an array of angles of shape (problems, points) and must
-return values of the same shape.
+return values of the same shape.  The objectives here evaluate the grid in
+slices of at most ``_GRID_SLICE`` problems, so a search over the problems of
+many instances holds no more of the pencil stack than a small one.
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ _FLAT = 64.0 * _EPS
 # a top eigenvalue closer than this (relative) to the next is treated as
 # multiple, where the eigenvalue is not smooth and Newton's model is void
 _GAP = math.sqrt(_EPS)
+# problems per eigensolver call on the grid, which bounds the pencil stack a
+# lockstep search over many problems holds at once
+_GRID_SLICE = 16
 
 
 @dataclass(frozen=True)
@@ -195,11 +200,18 @@ def rotation_eig_objective(mats: np.ndarray):
     def evaluate(thetas):
         cos = np.cos(thetas)[..., None, None]
         sin = np.sin(thetas)[..., None, None]
-        pencil = cos * herm[:, None] - sin * skew[:, None]
-        eigs = np.linalg.eigvalsh(pencil)
-        return np.maximum(eigs[..., -1], -eigs[..., 0])
+        out = np.empty(np.shape(thetas))
+        for s in _grid_slices(len(herm)):
+            eigs = np.linalg.eigvalsh(cos[s] * herm[s, None] - sin[s] * skew[s, None])
+            out[s] = np.maximum(eigs[..., -1], -eigs[..., 0])
+        return out
 
     return evaluate
+
+
+def _grid_slices(count: int):
+    """Consecutive row slices of at most ``_GRID_SLICE`` problems."""
+    return (slice(i, i + _GRID_SLICE) for i in range(0, count, _GRID_SLICE))
 
 
 def rotation_eig_derivatives(mats: np.ndarray):
@@ -220,12 +232,18 @@ def phase_combo_norm_objective(left: np.ndarray, right: np.ndarray):
 
     def evaluate(thetas):
         ph = np.exp(1j * thetas)[..., None, None]
-        combo = ph * left[:, None] + np.conj(ph) * right[:, None]
-        gram = combo @ np.conj(np.swapaxes(combo, -1, -2))
-        top = np.linalg.eigvalsh(gram)[..., -1]
+        top = np.empty(np.shape(thetas))
+        for s in _grid_slices(len(left)):
+            top[s] = _top_gram_eigenvalue(ph[s] * left[s, None] + np.conj(ph[s]) * right[s, None])
         return np.sqrt(np.maximum(top, 0.0))
 
     return evaluate
+
+
+def _top_gram_eigenvalue(combo: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of ``C C*`` for each matrix C of a stack; a function
+    of its own so that a slice's temporaries are freed before the next slice."""
+    return np.linalg.eigvalsh(combo @ np.conj(np.swapaxes(combo, -1, -2)))[..., -1]
 
 
 def phase_combo_derivatives(left: np.ndarray, right: np.ndarray):

@@ -37,13 +37,25 @@ class ToleranceConfig:
     def __post_init__(self):
         # a NaN slack would make every "residual > slack" comparison False
         for name in ("rank_rtol", "cmp_atol", "theta_refine_tol"):
-            value = getattr(self, name)
-            if not (isinstance(value, Real) and math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
-        for name, least in (("theta_samples", 8), ("gelfand_max_power", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
-                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+            require_positive(self, name)
+        require_integer(self, "theta_samples", 8)
+        require_integer(self, "gelfand_max_power", 1)
+
+
+def require_positive(config, name: str) -> None:
+    """Raise ``ValueError`` naming ``name`` unless that field of ``config`` is a
+    finite positive number."""
+    value = getattr(config, name)
+    if not (isinstance(value, Real) and math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+
+
+def require_integer(config, name: str, least: int) -> None:
+    """Raise ``ValueError`` naming ``name`` unless that field of ``config`` is an
+    integer, not a bool, of at least ``least``."""
+    value = getattr(config, name)
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 DEFAULT_TOL = ToleranceConfig()

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockops import BlockMatrix, assemble
-from .config import DEFAULT_TOL, ToleranceConfig
+from .config import DEFAULT_TOL, ToleranceConfig, require_integer, require_positive
 from .core import Operator, PsdContext, a_adjoint, make_context, semi_norm
 from .errors import ConstructionFailed
 
@@ -41,12 +41,11 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not 1 <= self.rank <= self.n:
+        for name, least in (("n", 1), ("d", 1), ("rank", 1), ("seed", 0)):
+            require_integer(self, name, least)
+        if self.rank > self.n:
             raise ValueError(f"need 1 <= rank <= n, got rank={self.rank}, n={self.n}")
-        if self.d < 1:
-            raise ValueError(f"need d >= 1, got {self.d}")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        require_positive(self, "scale")
         if self.ensemble not in ENSEMBLES:
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
 

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semihilbert import (
     DEFAULT_TOL,
@@ -12,14 +14,19 @@ from semihilbert import (
     GenSpec,
     InstanceWork,
     RouteDisagreement,
+    SemiHilbertError,
     ToleranceConfig,
+    bounds,
     campaign,
     gen_block_matrix,
+    radii,
     run_campaign,
 )
 from semihilbert.bounds import BOUND_KEYS
 from semihilbert.campaign import instance_invariants
 from semihilbert.core import top_singular
+from semihilbert.generators import ENSEMBLES
+from semihilbert.serialize import report_to_dict
 
 from conftest import corrupt_bound
 
@@ -64,9 +71,10 @@ def test_campaign_byte_identical_reports(tmp_path):
 
 
 def test_campaign_parallel_matches_serial(tmp_path):
+    # 20 instances make two chunks, so the parallel run uses the process pool
     out1, out2 = tmp_path / "serial", tmp_path / "parallel"
-    run_campaign(small_config(out=out1))
-    run_campaign(small_config(out=out2, parallelism=2))
+    run_campaign(small_config(out=out1, trials=10))
+    run_campaign(small_config(out=out2, parallelism=2, trials=10))
     assert (out1 / "reports.json").read_bytes() == (out2 / "reports.json").read_bytes()
 
 
@@ -143,6 +151,22 @@ def test_config_validation():
         CampaignConfig(trials=1, gens=())
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("trials", 2.5),
+        ("trials", True),
+        ("trials", 0),
+        ("parallelism", 2.0),
+        ("parallelism", True),
+    ],
+)
+def test_config_rejects_non_integer_counts_by_name(field, value):
+    spec = GenSpec(n=2, d=2, rank=2)
+    with pytest.raises(ValueError, match=field):
+        CampaignConfig(**dict({"trials": 1, "gens": (spec,)}, **{field: value}))
+
+
 @pytest.fixture
 def clean_instance():
     """The work object of a non-nilpotent instance and its clean report."""
@@ -196,3 +220,121 @@ def test_large_scale_rank_one_nilpotent_instance_is_clean(d, n, tol):
     report = work.report()
     assert report.all_hold and report.refinement_ok
     assert instance_invariants(work, report) == []
+
+
+def alone(payload):
+    """The row of one payload run on its own, without a chunk: a report (as JSON
+    text, so equal means bitwise equal) and its failed invariants, or the
+    error record."""
+    gi, spec, trial, tol = payload
+    seed = spec.seed + trial
+    instance_id = campaign._instance_id(gi, spec, seed)
+    try:
+        work = InstanceWork(gen_block_matrix(replace(spec, seed=seed), tol), tol)
+        report = work.report(instance_id)
+        text = json.dumps(report_to_dict(report))
+        return instance_id, text, instance_invariants(work, report), None
+    except (SemiHilbertError, np.linalg.LinAlgError) as exc:
+        error = {"instance_id": instance_id, "error": type(exc).__name__, "message": str(exc)}
+        return instance_id, None, [], error
+
+
+def chunked(rows):
+    return [(i, None if r is None else json.dumps(report_to_dict(r)), f, e) for i, r, f, e in rows]
+
+
+@st.composite
+def payloads(draw):
+    """Payloads of up to 16 instances mixing d 1-4, n 1-3, every rank, every
+    ensemble and scales 1e-6 to 1e6, so equal orders meet across specs."""
+    out = []
+    for gi in range(draw(st.integers(1, 16))):
+        n = draw(st.integers(1, 3))
+        spec = GenSpec(
+            n=n,
+            d=draw(st.integers(1, 4)),
+            rank=draw(st.integers(1, n)),
+            ensemble=draw(st.sampled_from(ENSEMBLES)),
+            scale=10.0 ** draw(st.integers(-6, 6)),
+            seed=draw(st.integers(0, 10_000)),
+        )
+        out.append((gi, spec, draw(st.integers(0, 3)), FAST_TOL))
+    return out
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(payloads())
+def test_lockstep_chunk_equals_instances_run_alone(chunk):
+    # a chunk lists the instances that failed before the search first; the
+    # payloads are in instance-id order
+    rows = sorted(chunked(campaign._run_chunk(chunk)), key=lambda row: row[0])
+    assert rows == [alone(p) for p in chunk]
+
+
+def test_error_in_the_lockstep_search_stays_with_its_instance(tmp_path, monkeypatch):
+    # a mixed chunk: flattened orders 2 to 6 and pair orders 1 to 3, the
+    # instance poisoned shares both of its searches with other instances
+    gens = (
+        GenSpec(n=2, d=2, rank=1, seed=0),
+        GenSpec(n=3, d=2, rank=3, ensemble="sparse", seed=10),
+        GenSpec(n=2, d=3, rank=2, ensemble="a-selfadjoint", seed=20),
+        GenSpec(n=3, d=3, rank=2, ensemble="nilpotent-lift", seed=30),
+    )
+
+    def config(out):
+        return CampaignConfig(trials=3, gens=gens, tol=FAST_TOL, output_path=str(out))
+
+    run_campaign(config(tmp_path / "clean"))
+    poisoned_id = "g02-d3n2r2-a-selfadjoint-s000021"
+    target = InstanceWork(gen_block_matrix(replace(gens[2], seed=21), FAST_TOL), FAST_TOL)
+    real = radii.rotation_eig_derivatives
+    searched = []  # stack sizes of the flattened-radius searches
+
+    def poisoned(mats):
+        # the Newton oracle fails whenever the target's matrix is in the stack
+        searched.append(len(mats))
+        oracle = real(mats)
+        hit = any(np.array_equal(m, target.flat_reduced) for m in mats)
+
+        def derivatives(rows, thetas):
+            if hit:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return oracle(rows, thetas)
+
+        return derivatives
+
+    monkeypatch.setattr(radii, "rotation_eig_derivatives", poisoned)
+    run_campaign(config(tmp_path / "broken"))
+    summary = json.loads((tmp_path / "broken" / "summary.json").read_text())
+    assert summary["instance_errors"] == [
+        {
+            "instance_id": poisoned_id,
+            "error": "LinAlgError",
+            "message": "Eigenvalues did not converge",
+        }
+    ]
+    # orders 2 (3 instances) and 6 (9 instances) searched in lockstep, the
+    # second raised, and then every instance searched alone
+    assert searched == [3, 9] + [1] * 12
+    clean = json.loads((tmp_path / "clean" / "reports.json").read_text())
+    broken = json.loads((tmp_path / "broken" / "reports.json").read_text())
+    assert broken == [r for r in clean if r["instance_id"] != poisoned_id]
+    assert len(broken) == 11
+
+
+def test_lockstep_reports_charge_each_instance_its_share_of_the_searches():
+    # flattened orders 6, 6 and 4; pair orders 2, 3 and 2 with 9, 4 and 4
+    # problems: the first two share the order-6 search equally, and the first
+    # and last the r = 2 pair search in the ratio 9 : 4 of their problems
+    specs = (GenSpec(n=2, d=3, rank=2), GenSpec(n=3, d=2, rank=3), GenSpec(n=3, d=2, rank=2))
+    works = [InstanceWork(gen_block_matrix(spec, FAST_TOL), FAST_TOL) for spec in specs]
+    bounds.search_radii(works)
+    shares = [w.search_seconds for w in works]
+    assert shares[0]["omega"] == shares[1]["omega"]
+    assert shares[0]["pairs"] == pytest.approx(shares[2]["pairs"] * 9 / 4, rel=1e-12)
+    for work, share in zip(works, shares):
+        report = work.report()
+        assert report.timing["omega"] == share["omega"] > 0
+        assert report.timing["B2_r2"] > share["pairs"] > 0
+    reports = run_campaign(small_config()).reports
+    assert all(r.timing["omega"] > 0 and r.timing["B2_r2"] > 0 for r in reports)

@@ -152,3 +152,27 @@ def test_gen_spec_validation():
         GenSpec(n=2, d=2, rank=2, ensemble="unknown")
     with pytest.raises(ValueError):
         GenSpec(n=2, d=2, rank=2, scale=0.0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n", 2.5),
+        ("n", True),
+        ("d", True),
+        ("d", 2.0),
+        ("rank", 1.5),
+        ("seed", False),
+        ("seed", 3.0),
+        ("seed", -1),
+        ("scale", float("nan")),
+        ("scale", float("inf")),
+        ("scale", -1.0),
+        ("scale", "1"),
+    ],
+)
+def test_gen_spec_rejects_bad_counts_and_scales_by_name(field, value):
+    # a NaN or inf scale would make every instance fail with NotFinite, which
+    # does not name the scale, and a float n would abort a campaign with a TypeError
+    with pytest.raises(ValueError, match=field):
+        GenSpec(**dict({"n": 2, "d": 2, "rank": 1}, **{field: value}))

@@ -82,6 +82,37 @@ def test_evaluate_all_searches_matrices_of_the_reduced_order(monkeypatch, rank, 
     assert seen == orders
 
 
+def test_campaign_chunk_makes_one_search_per_matrix_order(searches, monkeypatch):
+    # the 12 acceptance specs with one trial fill one chunk: the flattened
+    # radii meet in one search per order d r, the pair problems in one per
+    # order r: 10 searches for the 24 radius stacks of the 12 instances
+    orders = {"omega": [], "pairs": []}  # matrix order of each search objective
+
+    def recording(build, kind):
+        def counted(*mats):
+            orders[kind].append(mats[0].shape[-1])
+            return build(*mats)
+
+        return counted
+
+    for build, kind in (
+        (rotation_eig_objective, "omega"),
+        (phase_combo_norm_objective, "pairs"),
+    ):
+        assert patch_everywhere(monkeypatch, build, recording(build, kind)) >= 1
+    gens = tuple(
+        GenSpec(n=n, d=d, rank=rank, seed=0) for d in (2, 3, 4) for n in (2, 3) for rank in (n, n - 1)
+    )
+    campaign_tol = ToleranceConfig(theta_samples=128, theta_refine_tol=1e-7)
+    result = campaign.run_campaign(campaign.CampaignConfig(trials=1, gens=gens, tol=campaign_tol))
+    assert result.summary["instances"] == 12 and result.summary["instance_errors"] == []
+    assert len(searches) == 10
+    assert sorted(orders["omega"]) == [2, 3, 4, 6, 8, 9, 12]
+    assert sorted(orders["pairs"]) == [1, 2, 3]
+    # every instance's flattened radius and d^2 pair problems, each searched once
+    assert sum(searches) == 12 + sum(d * d for d in (2, 3, 4) for _ in range(4))
+
+
 def test_every_radius_search_samples_half_the_circle(monkeypatch):
     # every radius objective has period pi, so the grid holds m/2 angles per
     # problem, 64 at the campaign tolerance and 512 at the default; the Newton
@@ -140,7 +171,7 @@ def test_campaign_instance_tests_membership_four_times_and_reduces_twice(monkeyp
     assert patch_everywhere(monkeypatch, reduce, counted_reduce) >= 2
     campaign_tol = ToleranceConfig(theta_samples=128, theta_refine_tol=1e-7)
     spec = GenSpec(n=3, d=3, rank=2, seed=5)
-    _, _, failures, error = campaign._run_instance((0, spec, 0, campaign_tol))
+    ((_, _, failures, error),) = campaign._run_chunk([(0, spec, 0, campaign_tol)])
     assert failures == [] and error is None
     assert len(tests) == 4
     assert tests.count((3, 3)) == 1
