@@ -1,17 +1,20 @@
 """Upper bounds on the numerical radius of a block operator matrix.
 
 One :class:`InstanceWork` per block matrix holds every intermediate that the
-seven bounds (B1..B7) and the campaign's invariants read, each computed once
-on first use: the blockwise adjoints, reductions and seminorms (the stacked
-primitives of :mod:`semihilbert.core` applied to the block grid), the
-(d, d) pair radii, whose diagonal holds the diagonal-block radii, and the
-flattened operator's reduction, adjoint and radius: two circle searches.
-:func:`search_radii` runs those searches for many works in lockstep, one
-search per matrix order, and a lone work runs them through it too.
-The row and real/imaginary-part terms are norms of the r x r reductions, so
-no n x n block product is formed.  The bounds are its methods;
-:meth:`InstanceWork.report` evaluates them against the radius and turns the
-values into gaps and hold flags with a scale-aware slack.
+seven bounds (B1..B7) and the campaign's invariants read.  Its constructor
+tests blockwise membership and reduces the (d, d) block grid in one
+:func:`semihilbert.core.reduce_stack` call; everything else is read from
+those r x r reductions R_ij and computed once, on first use.  The reduction
+of the flattened operator against the lifted weight is, up to a permutation
+similarity, the (d r) x (d r) grid of the R_ij, and the reduction of T_ij^#
+is R_ij^*, so no lifted operator and no n x n adjoint is formed.  Two circle
+searches give the radius of that grid and the (d, d) pair radii, whose
+diagonal holds the diagonal-block radii; :func:`search_radii` runs them for
+many works in lockstep, one search per matrix order, and a lone work runs
+them through it too.  The row and real/imaginary-part terms are norms of the
+reductions, so no n x n block product is formed either.  The bounds are its
+methods; :meth:`InstanceWork.report` evaluates them against the radius and
+turns the values into gaps and hold flags with a scale-aware slack.
 :func:`evaluate_all` is the one-call entry point.
 """
 
@@ -24,11 +27,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .blockops import BlockMatrix, _require_members, flatten
+from .blockops import BlockMatrix, _require_members
 from .config import DEFAULT_TOL, ToleranceConfig
-from .core import Operator, a_adjoint, adjoint_stack, reduce, reduce_stack, top_singular
+from .core import reduce_stack, top_singular
 from .errors import RouteDisagreement
-from .radii import check_adjoint_identity, offdiag_sup_batch, validated_radius_batch
+from .radii import offdiag_sup_batch, validated_radius_batch
 
 __all__ = ["BOUND_KEYS", "BoundReport", "InstanceWork", "evaluate_all", "search_radii"]
 
@@ -53,8 +56,8 @@ class BoundReport:
     lockstep (:func:`search_radii`), so each instance is charged the search's
     seconds times its share of the search's problems: the flattened radius
     under ``omega``, the pair radii under ``B2_r2``, the first bound that
-    reads them, leaving B3 about 0.  The reductions the searches read are
-    not timed.
+    reads them, leaving B3 about 0.  The reductions, computed when the work
+    is built, are not timed.
     """
 
     instance_id: str
@@ -77,10 +80,12 @@ class BoundReport:
 class InstanceWork:
     """Every per-instance intermediate of one block matrix, each computed once.
 
-    Construction tests blockwise membership and raises :class:`BlockNotInBA`
-    naming the first block without a weighted adjoint.  The bound methods,
-    :meth:`report` and the campaign's invariants read the cached properties,
-    so asking for several of them pays for each intermediate once.
+    Construction tests blockwise membership, raising :class:`BlockNotInBA`
+    naming the first block without a weighted adjoint, then reduces the
+    block grid: the one membership test and the one reduction of the
+    instance.  The bound methods, :meth:`report` and the campaign's
+    invariants read the cached properties, so asking for several of them
+    pays for each intermediate once.
     """
 
     def __init__(self, bm: BlockMatrix, tol: ToleranceConfig = DEFAULT_TOL):
@@ -88,58 +93,32 @@ class InstanceWork:
         self.tol = tol
         self.ctx = bm.base_ctx
         _require_members(bm, tol)
+        # blockwise reductions against the base weight, shape (d, d, r, r)
+        self.reduced_blocks = reduce_stack(self.ctx, bm.blocks)
         # this work's share of the seconds of the searches that filled its radii
         self.search_seconds = {"omega": 0.0, "pairs": 0.0}
 
     @cached_property
-    def flat(self) -> Operator:
-        return flatten(self.bm)
-
-    @cached_property
     def flat_reduced(self) -> np.ndarray:
-        """Reduction of the flattened operator against the lifted weight, (d r) x (d r)."""
-        return reduce(self.flat, self.tol)
+        """The (d r) x (d r) block-major grid of ``reduced_blocks``.
 
-    @cached_property
-    def flat_sharp(self) -> Operator:
-        """Weighted adjoint of the flattened operator: the lifted route to ``sharps``."""
-        return a_adjoint(self.flat, self.tol)
-
-    @cached_property
-    def flat_sharp_reduced(self) -> np.ndarray:
-        """Reduction of ``flat_sharp``, which the adjoint identity compares with
-        ``flat_reduced``."""
-        return reduce(self.flat_sharp, self.tol)
+        The reduction of the flattened operator against the lifted weight
+        orders its rows eigenvalue-major; this grid is the same matrix up to
+        a permutation similarity, which keeps its norm, numerical radius and
+        spectral radius.
+        """
+        d, r = self.bm.d, self.ctx.rank
+        return self.reduced_blocks.transpose(0, 2, 1, 3).reshape(d * r, d * r)
 
     @cached_property
     def omega(self) -> float:
-        """Weighted numerical radius of the flattened operator, adjoint identity checked.
+        """Weighted numerical radius of the flattened operator.
 
         Filled, with ``pair_omegas``, by :func:`search_radii` on this work alone
         unless a lockstep search over many works filled it first.
         """
         search_radii([self])
         return self.__dict__["omega"]
-
-    @cached_property
-    def sharps(self) -> np.ndarray:
-        """sharps[i, j] is the weighted adjoint of block (i, j)."""
-        return adjoint_stack(self.ctx, self.bm.blocks)
-
-    @cached_property
-    def reduced_blocks(self) -> np.ndarray:
-        """Blockwise reductions against the base weight, shape (d, d, r, r)."""
-        return reduce_stack(self.ctx, self.bm.blocks)
-
-    @cached_property
-    def reduced_sharps(self) -> np.ndarray:
-        return reduce_stack(self.ctx, self.sharps)
-
-    def reductions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """What the radius searches read: the flattened reduction and that of its
-        adjoint, then the (d, d, r, r) blockwise reductions and those of the
-        blockwise adjoints."""
-        return self.flat_reduced, self.flat_sharp_reduced, self.reduced_blocks, self.reduced_sharps
 
     @cached_property
     def norms(self) -> np.ndarray:
@@ -151,9 +130,8 @@ class InstanceWork:
         """Matrix of pair radii omega_offdiag(T_ij, T_ji) over all d^2 ordered pairs.
 
         For i = j this is sup_theta ||Re_A(e^{i theta} T_ii)||_A = omega_A(T_ii), so
-        the diagonal radii come from the same search.  The adjoint identity is
-        checked on every block and the exchange symmetry asserted, not assumed.
-        Filled, with ``omega``, by :func:`search_radii`.
+        the diagonal radii come from the same search.  The exchange symmetry is
+        asserted, not assumed.  Filled, with ``omega``, by :func:`search_radii`.
         """
         search_radii([self])
         return self.__dict__["pair_omegas"]
@@ -278,35 +256,28 @@ def search_radii(works: Sequence[InstanceWork]) -> None:
 
     The flattened radii run as one search per distinct tolerance and order
     d r, the pair problems as one search per distinct tolerance and order r
-    over the concatenated d^2 pair stacks.  Nothing is padded, and lockstep
+    over the concatenated d^2 pair stacks, pair (i, j) on the reductions
+    R_ij and R_ji^* (that of T_ji^#).  Nothing is padded, and lockstep
     searches are independent per problem, so every value is bitwise the one
-    a search of that work alone gives.  Each work's adjoint identities and
-    pair symmetry are checked on its own rows.  A work is charged the
-    seconds of each search in proportion to its problems, in
-    ``search_seconds``.  Caches are written only once every search has
-    succeeded, so a search that raises leaves every work as it was.
+    a search of that work alone gives.  Each work's pair symmetry is checked
+    on its own rows.  A work is charged the seconds of each search in
+    proportion to its problems, in ``search_seconds``.  Caches are written
+    only once every search has succeeded, so a search that raises leaves
+    every work as it was.
     """
-    for w in works:
-        w.reductions()  # before the clocks start: the timing covers the searches
     omegas, pairs = [0.0] * len(works), [None] * len(works)
     seconds = [{"omega": 0.0, "pairs": 0.0} for _ in works]
     for tol, group in _groups(works, lambda w: len(w.flat_reduced)):
         t0 = time.perf_counter()
-        values = validated_radius_batch(
-            np.stack([works[i].flat_reduced for i in group]),
-            np.stack([works[i].flat_sharp_reduced for i in group]),
-            tol,
-        )
+        values = validated_radius_batch(np.stack([works[i].flat_reduced for i in group]), tol)
         share = (time.perf_counter() - t0) / len(group)
         for i, value in zip(group, values):
             omegas[i], seconds[i]["omega"] = value, share
     for tol, group in _groups(works, lambda w: w.ctx.rank):
         t0 = time.perf_counter()
         grids = [works[i].reduced_blocks for i in group]
-        sharps = [works[i].reduced_sharps for i in group]
-        lefts = _pair_stack(grids)
-        check_adjoint_identity(lefts, _pair_stack(sharps), tol)
-        values = offdiag_sup_batch(lefts, _pair_stack([np.swapaxes(s, 0, 1) for s in sharps]), tol)
+        rights = _pair_stack([np.conj(g.transpose(1, 0, 3, 2)) for g in grids])
+        values = offdiag_sup_batch(_pair_stack(grids), rights, tol)
         sizes = [len(g) ** 2 for g in grids]
         for i, flat in zip(group, np.split(np.asarray(values), np.cumsum(sizes)[:-1])):
             pairs[i] = _symmetric_pairs(works[i], flat)

@@ -5,16 +5,15 @@ in parallel and still produce byte-identical reports: workers return
 results keyed by instance id and the merge is a deterministic sort.  Every
 instance builds one :class:`InstanceWork`, which produces the bound report
 and then feeds a small suite of cheap structural invariants (seminorm
-equivalence, spectral domination, comparison-matrix inequalities, blockwise
-versus lifted adjoint) from the same cached reductions; their failures count
-as violations.  An instance that raises a package or linear-algebra error is
-recorded in the summary's ``instance_errors``, also a violation, and the
-campaign goes on.
+equivalence, spectral domination, comparison-matrix inequalities) from the
+same cached reductions; their failures count as violations.  An instance
+that raises a package or linear-algebra error is recorded in the summary's
+``instance_errors``, also a violation, and the campaign goes on.
 
 The instances run in chunks of 16 consecutive ones, serially or one chunk
-per worker task.  A chunk generates and reduces each instance on its own,
-then searches the radii of all of them in lockstep, one circle search per
-matrix order (:func:`semihilbert.bounds.search_radii`): the 12 acceptance
+per worker task.  A chunk generates, tests and reduces each instance on its
+own, then searches the radii of all of them in lockstep, one circle search
+per matrix order (:func:`semihilbert.bounds.search_radii`): the 12 acceptance
 specs with one trial each make 10 searches for their 24 radius stacks.
 Lockstep searches are independent per problem, so the reports are bitwise
 those of instances run alone, whatever the chunking.
@@ -31,7 +30,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .blockops import flatten
 from .bounds import BOUND_KEYS, BoundReport, InstanceWork, search_radii
 from .config import DEFAULT_TOL, ToleranceConfig, require_integer
 from .core import spectral_norm
@@ -105,12 +103,6 @@ def instance_invariants(work: InstanceWork, report: BoundReport) -> list[str]:
     power_bound = 0.5 * (norm + np.sqrt(spectral_norm(reduced @ reduced)))
     if omega > power_bound + slack:
         failures.append("power_refinement")
-
-    # both routes carry rounding of the unreduced operator, so its norm scales the slack
-    blockwise = flatten(replace(work.bm, blocks=np.swapaxes(work.sharps, 0, 1)))
-    route_slack = 1e-10 * (1.0 + norm + spectral_norm(work.flat.t))
-    if spectral_norm(blockwise.t - work.flat_sharp.t) > route_slack:
-        failures.append("sharp_route_agreement")
     return failures
 
 
@@ -127,7 +119,7 @@ def _run_chunk(chunk) -> list[tuple[str, BoundReport | None, list[str], dict | N
     """Instance id, report, failed invariants and, when it raised, the error
     record of every payload in ``chunk``.
 
-    Generation, membership and the reductions run per instance; then one
+    Generation, membership and the reduction run per instance; then one
     :func:`search_radii` call fills the radii of every instance that got that
     far, in one lockstep search per matrix order; the reports and invariants
     run per instance again.  Should the lockstep search raise, it has filled
@@ -140,7 +132,6 @@ def _run_chunk(chunk) -> list[tuple[str, BoundReport | None, list[str], dict | N
         instance_id = _instance_id(gi, spec, seed)
         try:
             work = InstanceWork(gen_block_matrix(replace(spec, seed=seed), tol), tol)
-            work.reductions()
         except _INSTANCE_ERRORS as exc:
             rows.append(_error_row(instance_id, exc))
         else:

@@ -3,12 +3,15 @@
 Weighted radii are computed on the reduction ``R``, the r x r compression of
 ``A^{1/2} T (A^{1/2})^+`` to ``range(A)``, ``r = rank(A)``, which carries its
 norm, numerical radius and spectral radius (:func:`semihilbert.core.reduce`):
-one circle search per radius, on r x r matrices.  Batches zero-pad reductions
-of different orders, which keeps all three.  The reduction sends the weighted
-adjoint to the conjugate transpose, so when an operator admits a weighted
-adjoint the identity ``reduce(T^#) = R^*`` is checked directly; a residual
-beyond slack signals a membership or implementation bug and raises
-:class:`RouteDisagreement`.  The rotated-real-part supremum
+one circle search per radius, on r x r matrices.  The reduction sends the
+weighted adjoint to the conjugate transpose, ``reduce(T^#) = R^*``, an
+algebraic identity of the stacked primitives of :mod:`semihilbert.core`
+that the test suite pins; so a pair radius reads ``R^*`` instead of reducing
+an adjoint.  Batches zero-pad reductions of different orders.  A direct sum
+with a zero block keeps all three radii in exact arithmetic, but the
+eigensolver sees a different matrix, so a radius from a padded batch equals
+the one computed alone up to rounding, not bitwise.  The rotated-real-part
+supremum
 
     sup_theta || (e^{i theta} T + e^{-i theta} T^#) / 2 ||_A
 
@@ -24,7 +27,6 @@ supremum of ``lambda_max``.
 from __future__ import annotations
 
 import math
-from contextlib import suppress
 from typing import Sequence
 
 import numpy as np
@@ -38,8 +40,8 @@ from .circle import (
     sup_on_circle_batch,
 )
 from .config import DEFAULT_TOL, ToleranceConfig
-from .core import Operator, a_adjoint, in_ba, reduce, spectral_norm, top_singular
-from .errors import DimensionMismatch, GelfandDivergence, NotInBA, RouteDisagreement
+from .core import Operator, a_adjoint, in_ba, reduce, spectral_norm
+from .errors import DimensionMismatch, GelfandDivergence, NotInBA
 
 __all__ = [
     "classical_numerical_radius",
@@ -125,71 +127,35 @@ def omega_real_part_sup(op: Operator, tol: ToleranceConfig = DEFAULT_TOL) -> The
     return _phase_combo_search(reduced[None] / 2.0, sharp_reduced[None] / 2.0, tol)[0]
 
 
-def validated_radius_batch(
-    reduced: np.ndarray, sharp_reduced: np.ndarray | None, tol: ToleranceConfig
-) -> list[float]:
-    """Numerical radii for stacks of already-reduced matrices.
+def validated_radius_batch(reduced: np.ndarray, tol: ToleranceConfig) -> list[float]:
+    """Numerical radii for a stack of already-reduced matrices.
 
-    ``reduced`` holds the reductions R of the operators, ``sharp_reduced``
-    the reductions S of their weighted adjoints (or None to skip the check).
-    Every pair must satisfy ``||S - R^*|| <= cmp_atol (1 + ||R||)``, or
-    :class:`RouteDisagreement` is raised.  Under the identity the
-    rotated-real-part objective ``sigma_max(e^{it} R + e^{-it} S) / 2`` equals
-    the searched objective, the largest |lambda| of the rotated Hermitian part
-    H(t) (sigma_max of a Hermitian matrix is its largest |lambda|), so the
-    check replaces a second search over the former.  Since H(t + pi) = -H(t),
-    the search covers [0, pi).
+    Each radius is the supremum of the largest |lambda| of the rotated
+    Hermitian part H(t) = (e^{it} R + e^{-it} R^*) / 2, which equals the
+    rotated-real-part objective because the reduction of T^# is R^*.  Since
+    H(t + pi) = -H(t), the search covers [0, pi).
     """
-    if sharp_reduced is not None:
-        check_adjoint_identity(reduced, sharp_reduced, tol)
     return [r.value for r in _rotation_search(reduced, tol)]
 
 
-def check_adjoint_identity(
-    reduced: np.ndarray, sharp_reduced: np.ndarray, tol: ToleranceConfig
-) -> None:
-    """Raise :class:`RouteDisagreement` unless ``sharp_reduced = reduced^*`` pairwise."""
-    diff = sharp_reduced - np.conj(np.swapaxes(reduced, -1, -2))
-    resid, scale = top_singular(np.stack([diff, reduced]))
-    bad = np.flatnonzero(resid > tol.cmp_atol * (1.0 + scale))
-    if bad.size:
-        k = bad[0]
-        raise RouteDisagreement(
-            f"reduced adjoint differs from the conjugate transpose of the "
-            f"reduction by {resid[k]:.3e} (norm {scale[k]:.3e}) at index {k}"
-        )
-
-
-def _padded_stack(mats: Sequence[np.ndarray], order: int = 0) -> np.ndarray:
-    """Stack square matrices zero-padded to the largest order, at least ``order``.
+def _padded_stack(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """Stack square matrices zero-padded to the largest order.
 
     A direct sum with a zero block keeps sigma_max, the numerical radius and
-    the pair objective, so a padded batch searches as its members would.
+    the pair objective in exact arithmetic; a padded member's value matches
+    its unpadded one up to rounding.
     """
-    order = max(order, *(len(m) for m in mats))
+    order = max(len(m) for m in mats)
     return np.stack([np.pad(m, (0, order - len(m))) for m in mats])
 
 
 def a_numerical_radius_many(
     ops: Sequence[Operator], tol: ToleranceConfig = DEFAULT_TOL
 ) -> list[float]:
-    """Weighted numerical radii of same-shaped operators, searched in lockstep.
-
-    Every operator that admits a weighted adjoint has the adjoint identity of
-    its reduction checked.
-    """
+    """Weighted numerical radii of same-shaped operators, searched in lockstep."""
     if not ops:
         return []
-    mats = _padded_stack([reduce(op, tol) for op in ops])
-    sharps = {}  # index -> reduced weighted adjoint, for operators that admit one
-    for i, op in enumerate(ops):
-        with suppress(NotInBA):
-            sharps[i] = reduce(a_adjoint(op, tol), tol)
-    if sharps:
-        check_adjoint_identity(
-            mats[list(sharps)], _padded_stack(list(sharps.values()), mats.shape[-1]), tol
-        )
-    return validated_radius_batch(mats, None, tol)
+    return validated_radius_batch(_padded_stack([reduce(op, tol) for op in ops]), tol)
 
 
 def a_numerical_radius(op: Operator, tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -273,10 +239,12 @@ def omega_offdiag_many(
     for t, s in pairs:
         if not t.ctx.same_weight(s.ctx):
             raise DimensionMismatch("paired operators must share a weight context")
-        if not in_ba(t, tol):
-            raise NotInBA("left operator does not admit a weighted adjoint")
+        for side, op in (("left", t), ("right", s)):
+            if not in_ba(op, tol):
+                raise NotInBA(f"{side} operator does not admit a weighted adjoint")
     lefts = _padded_stack([reduce(t, tol) for t, _ in pairs])
-    rights = _padded_stack([reduce(a_adjoint(s, tol), tol) for _, s in pairs])
+    # the reduction of S^# is the conjugate transpose of that of S
+    rights = _padded_stack([reduce(s, tol).conj().T for _, s in pairs])
     return offdiag_sup_batch(lefts, rights, tol)
 
 

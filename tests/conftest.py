@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from semihilbert import DEFAULT_TOL, Operator, bounds, make_context
-from semihilbert.generators import gen_compatible, gen_psd
+from semihilbert import DEFAULT_TOL, GenSpec, Operator, bounds, make_context
+from semihilbert.generators import gen_block_matrix, gen_compatible, gen_psd
 
 
 @pytest.fixture
@@ -29,6 +29,18 @@ def random_member(n, rank, seed, ensemble="ginibre"):
     ctx = gen_psd(n, rank, seed)
     op = gen_compatible(ctx, seed + 10_000, ensemble)
     return ctx, op
+
+
+def block_matrix_sweep(ensemble):
+    """Block matrices of one ensemble over d 1-4, n 1-4, every rank, scales
+    1e-6, 1 and 1e6 and three seeds: 480 instances."""
+    for d in range(1, 5):
+        for n in range(1, 5):
+            for rank in range(1, n + 1):
+                for scale in (1e-6, 1.0, 1e6):
+                    for seed in range(3):
+                        spec = GenSpec(n=n, d=d, rank=rank, ensemble=ensemble, scale=scale, seed=seed)
+                        yield gen_block_matrix(spec)
 
 
 def a_unit_samples(rng, ctx, count):

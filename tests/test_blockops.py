@@ -1,5 +1,7 @@
 """Lifting, block assembly, block adjoints, permutations and structured norms."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from semihilbert import (
     BadIndex,
     BlockNotInBA,
     DimensionMismatch,
+    GenSpec,
     NotABounded,
     Operator,
     RaggedBlocks,
@@ -31,9 +34,9 @@ from semihilbert import (
     u_k,
 )
 from semihilbert.core import spectral_norm
-from semihilbert.generators import gen_compatible, gen_psd
+from semihilbert.generators import ENSEMBLES, gen_block_matrix, gen_compatible, gen_psd
 
-from conftest import weight_oracle
+from conftest import block_matrix_sweep, weight_oracle
 
 SLACK = 1e-8
 
@@ -145,13 +148,33 @@ def test_block_sharp_diagonal_case():
     assert np.allclose(sharped.blocks[0, 1], 0.0)
 
 
+def sharp_route_gap(bm, sharp=None):
+    """Distance between the flattened blockwise adjoint (``block_sharp(bm)``
+    unless ``sharp`` is given) and the lifted adjoint of the flattened
+    operator, and the slack for it.
+
+    Both routes compute ``A^+ T^* A`` on range(A), whose rounding is a few eps
+    times ``||T||`` and the condition number of the weight on its range.
+    """
+    ctx, flat = bm.base_ctx, flatten(bm)
+    blockwise = flatten(block_sharp(bm) if sharp is None else sharp).t
+    cond = ctx.eigvals[0] / ctx.eigvals[ctx.rank - 1]
+    gap = spectral_norm(blockwise - a_adjoint(flat).t)
+    return gap, 16.0 * np.finfo(float).eps * cond * spectral_norm(flat.t)
+
+
 def test_block_sharp_agrees_with_lifted_adjoint():
-    for seed in range(15):
-        bm = random_block_matrix(2, 2, 1, seed)
-        blockwise = flatten(block_sharp(bm)).t
-        lifted = a_adjoint(flatten(bm)).t
-        scale = 1.0 + spectral_norm(flatten(bm).t)
-        assert spectral_norm(blockwise - lifted) <= 1e-10 * scale
+    for ensemble in ENSEMBLES:
+        for bm in block_matrix_sweep(ensemble):
+            gap, slack = sharp_route_gap(bm)
+            assert gap <= slack, (ensemble, bm.d, bm.n, bm.base_ctx.rank)
+
+
+def test_sharp_route_comparison_flags_disagreeing_routes():
+    bm = gen_block_matrix(GenSpec(n=3, d=3, rank=2, seed=4))
+    sharp = block_sharp(bm)
+    gap, slack = sharp_route_gap(bm, replace(sharp, blocks=sharp.blocks + 1e-10))
+    assert gap > slack
 
 
 def test_block_sharp_names_offending_block():

@@ -17,10 +17,14 @@ from semihilbert import (
     evaluate_all,
     flatten,
     make_context,
+    reduce,
 )
 from semihilbert.config import DEFAULT_TOL, ToleranceConfig
+from semihilbert.core import spectral_norm
 from semihilbert.generators import ENSEMBLES, gen_compatible, gen_psd
+from semihilbert.radii import _DEFECTIVE_GUARD, reduced_spectral_radius, validated_radius_batch
 
+from conftest import block_matrix_sweep
 from test_blockops import random_block_matrix
 
 SLACK = 1e-8
@@ -114,15 +118,6 @@ def test_th2_is_top_eigenvalue_of_symmetric_comparison_matrix():
         assert th2 >= classical_numerical_radius(s, fine).value - 1e-14 * max(1.0, th2)
 
 
-def test_adjoint_identity_is_checked_on_every_block():
-    work = InstanceWork(random_block_matrix(3, 2, 1, seed=9))
-    sharps = work.reduced_sharps.copy()
-    sharps[0, 1] += 1e-6
-    work.__dict__["reduced_sharps"] = sharps
-    with pytest.raises(RouteDisagreement, match="reduced adjoint differs"):
-        work.pair_omegas
-
-
 def test_planted_pair_asymmetry_raises(monkeypatch):
     search = bounds.offdiag_sup_batch
 
@@ -134,6 +129,47 @@ def test_planted_pair_asymmetry_raises(monkeypatch):
     monkeypatch.setattr(bounds, "offdiag_sup_batch", shifted)
     with pytest.raises(RouteDisagreement, match="asymmetric"):
         InstanceWork(random_block_matrix(3, 2, 1, seed=9)).pair_omegas
+
+
+def lifted_permutation(bm) -> np.ndarray:
+    """Permutation matrix P with ``reduce(flatten(bm)) = P^T G P`` for the
+    block-major grid G of the blockwise reductions.
+
+    Read off the lifted range eigenvectors, not from ``lift``'s sort: column
+    k of P says which base range eigenvector in which block the k-th lifted
+    one is, as coordinates in the block-major basis ``I_d (x) V_r``.
+    """
+    r = bm.base_ctx.rank
+    basis = np.kron(np.eye(bm.d), bm.base_ctx.eigvecs[:, :r])
+    coords = basis.conj().T @ bm.lifted_ctx.eigvecs[:, : bm.d * r]
+    perm = np.rint(coords.real)
+    assert np.abs(coords - perm).max() <= 1e-12
+    assert np.array_equal(perm @ perm.T, np.eye(len(perm)))
+    return perm
+
+
+@pytest.mark.parametrize("ensemble", ENSEMBLES)
+def test_flat_reduced_is_the_lifted_reduction_permuted(ensemble):
+    # the block-major grid of the R_ij is the reduction of the flattened
+    # operator against the lifted weight up to a permutation similarity, so
+    # the norm and the radii are the same; the spectral radius of a defective
+    # reduction moves by more than rounding under the permutation, within
+    # the guard reduced_spectral_radius allows for it
+    eps = np.finfo(float).eps
+    tol = ToleranceConfig(theta_samples=128, theta_refine_tol=1e-7)
+    for bm in block_matrix_sweep(ensemble):
+        work = InstanceWork(bm, tol)
+        flat = flatten(bm)
+        lifted = reduce(flat, tol)
+        perm = lifted_permutation(bm)
+        size = spectral_norm(lifted) + spectral_norm(flat.t)
+        case = (bm.d, bm.n, bm.base_ctx.rank, size)
+        assert np.abs(perm.T @ work.flat_reduced @ perm - lifted).max() <= 4 * eps * size, case
+        assert abs(spectral_norm(work.flat_reduced) - spectral_norm(lifted)) <= 8 * eps * size, case
+        grid_omega, lifted_omega = validated_radius_batch(np.stack([work.flat_reduced, lifted]), tol)
+        assert abs(grid_omega - lifted_omega) <= 16 * eps * size, case
+        rho_gap = reduced_spectral_radius(work.flat_reduced, tol) - reduced_spectral_radius(lifted, tol)
+        assert abs(rho_gap) <= _DEFECTIVE_GUARD * size, case
 
 
 @pytest.mark.parametrize("ensemble", ENSEMBLES)

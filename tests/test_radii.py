@@ -1,4 +1,4 @@
-"""Classical and weighted radii, the adjoint identity check and the circle search."""
+"""Classical and weighted radii and the circle search."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from semihilbert import (
     GenSpec,
     InstanceWork,
     Operator,
-    RouteDisagreement,
     ToleranceConfig,
     a_adjoint,
     a_numerical_radius,
@@ -32,7 +31,8 @@ from semihilbert.generators import (
     gen_compatible,
     gen_psd,
 )
-from semihilbert.radii import reduced_spectral_radius, validated_radius_batch
+from semihilbert.core import spectral_norm
+from semihilbert.radii import _DEFECTIVE_GUARD, reduced_spectral_radius
 
 from conftest import a_unit_samples, random_member
 
@@ -157,34 +157,6 @@ def test_route_agreement_on_members():
         assert abs(primary - alt) <= 1e-9 * (1.0 + primary)
 
 
-def test_route_disagreement_raises():
-    _, t = random_member(3, 3, seed=1)
-    _, s = random_member(3, 3, seed=2)
-    wrong_sharp = reduce(s)  # deliberately not the adjoint of t
-    with pytest.raises(RouteDisagreement):
-        validated_radius_batch(
-            reduce(t)[None], wrong_sharp[None], ToleranceConfig()
-        )
-
-
-def test_adjoint_identity_check_has_norm_scaled_slack():
-    _, t = random_member(3, 2, seed=4)
-    tol = ToleranceConfig()
-    r = reduce(t)
-    slack = tol.cmp_atol * (1.0 + np.linalg.norm(r, 2))
-    rng = np.random.default_rng(5)
-    e = rng.standard_normal(r.shape) + 1j * rng.standard_normal(r.shape)
-    e /= np.linalg.norm(e, 2)
-    stack = np.stack([r, r])
-    exact = np.conj(np.swapaxes(stack, -1, -2))
-    within = validated_radius_batch(stack, exact + 0.5 * slack * e, tol)
-    assert within == validated_radius_batch(stack, None, tol)
-    beyond = exact.copy()
-    beyond[1] += 2.0 * slack * e  # only the second member of the stack is off
-    with pytest.raises(RouteDisagreement, match="index 1"):
-        validated_radius_batch(stack, beyond, tol)
-
-
 def test_radius_montecarlo_lower_envelope():
     for seed in (3, 4):
         ctx, t = random_member(3, 2, seed)
@@ -298,6 +270,19 @@ def test_gelfand_envelope_of_nearly_nilpotent_matrix_does_not_underflow():
     # the same on a sparse reduction whose eigenbasis block is a Jordan-3 chain
     work = InstanceWork(gen_block_matrix(GenSpec(n=6, d=1, rank=3, ensemble="sparse")))
     assert reduced_spectral_radius(work.flat_reduced, work.tol) < 1e-5
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="eigvals of a Jordan-3 nilpotent reduction errs by about eps^(1/3) ||R||: "
+    "5.04e-6 ||R|| where r_A is 0, above the Jordan-2 sized _DEFECTIVE_GUARD of 3.8e-6",
+)
+def test_jordan3_spectral_radius_stays_within_the_defective_guard():
+    work = InstanceWork(gen_block_matrix(GenSpec(n=6, d=1, rank=3, ensemble="sparse", seed=0)))
+    reduced = work.flat_reduced
+    # the reduction is nilpotent of index 3: R^2 is of order ||R||^2, R^3 rounding
+    assert np.abs(reduced @ reduced @ reduced).max() <= 1e-14 * spectral_norm(reduced) ** 3
+    assert reduced_spectral_radius(reduced, work.tol) <= _DEFECTIVE_GUARD * spectral_norm(reduced)
 
 
 # ---------------------------------------------------------------- offdiag
