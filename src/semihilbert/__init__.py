@@ -51,21 +51,18 @@ from .errors import (
     NotInBA,
     NotPositive,
     RaggedBlocks,
-    RouteDisagreement,
     SemiHilbertError,
     ZeroOperator,
 )
 from .generators import GenSpec, gen_a_unitary, gen_block_matrix, gen_compatible, gen_psd
 from .radii import (
     a_numerical_radius,
-    a_numerical_radius_many,
     a_spectral_radius,
     classical_numerical_radius,
     classical_spectral_radius,
     gelfand_envelope,
     im_a,
     omega_offdiag,
-    omega_offdiag_many,
     omega_real_part_sup,
     re_a,
 )

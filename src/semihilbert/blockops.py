@@ -15,13 +15,14 @@ call each to the stacked primitives of :mod:`semihilbert.core` on the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .core import Operator, PsdContext, adjoint_stack, first_failure, reduce_stack, top_singular
 from .errors import BadIndex, BlockNotInBA, DimensionMismatch, NotABounded, NotFinite, RaggedBlocks
-from .radii import a_numerical_radius_many
+from .radii import validated_radius_batch
 
 __all__ = [
     "BlockMatrix",
@@ -41,16 +42,20 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class BlockMatrix:
-    """A d x d grid of equally sized blocks plus base and lifted contexts."""
+    """A d x d grid of equally sized blocks plus its base weight context."""
 
     d: int
     blocks: np.ndarray  # shape (d, d, n, n)
     base_ctx: PsdContext
-    lifted_ctx: PsdContext
 
     @property
     def n(self) -> int:
         return self.blocks.shape[-1]
+
+    @cached_property
+    def lifted_ctx(self) -> PsdContext:
+        """The d-fold lifted weight of the flattened operator, built on first use."""
+        return lift(self.base_ctx, self.d)
 
 
 def lift(ctx: PsdContext, d: int) -> PsdContext:
@@ -95,7 +100,7 @@ def assemble(blocks, ctx: PsdContext) -> BlockMatrix:
         )
     d = grid.shape[0]
     grid.setflags(write=False)
-    return BlockMatrix(d=d, blocks=grid, base_ctx=ctx, lifted_ctx=lift(ctx, d))
+    return BlockMatrix(d=d, blocks=grid, base_ctx=ctx)
 
 
 def flatten(bm: BlockMatrix) -> Operator:
@@ -128,7 +133,7 @@ def block_sharp(bm: BlockMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> BlockMat
     _require_members(bm, tol)
     out = adjoint_stack(bm.base_ctx, np.swapaxes(bm.blocks, 0, 1))
     out.setflags(write=False)
-    return BlockMatrix(d=bm.d, blocks=out, base_ctx=bm.base_ctx, lifted_ctx=bm.lifted_ctx)
+    return BlockMatrix(d=bm.d, blocks=out, base_ctx=bm.base_ctx)
 
 
 def u_k(k: int, d: int, ctx: PsdContext) -> BlockMatrix:
@@ -169,20 +174,25 @@ def _entry_operators(
     return ops, ctx
 
 
-def structured_norms(entries, shape: str, tol: ToleranceConfig = DEFAULT_TOL) -> float:
-    """Seminorm of a diagonal or antidiagonal block matrix: max of entry seminorms."""
+def _reduced_entries(entries, shape: str, tol: ToleranceConfig) -> np.ndarray:
+    """Reductions of the entries' stack, after one boundedness test naming
+    the first unbounded entry."""
     ops, ctx = _entry_operators(entries, shape)
     mats = np.stack([op.t for op in ops])
     bad = first_failure(ctx, mats, tol, half=True)
     if bad is not None:
         raise NotABounded(f"entry {bad[0]} is unbounded for the weighted seminorm")
-    return float(top_singular(reduce_stack(ctx, mats)).max())
+    return reduce_stack(ctx, mats)
+
+
+def structured_norms(entries, shape: str, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+    """Seminorm of a diagonal or antidiagonal block matrix: max of entry seminorms."""
+    return float(top_singular(_reduced_entries(entries, shape, tol)).max())
 
 
 def structured_omega(entries, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Numerical radius of a diagonal block matrix: max of entry radii."""
-    ops, _ = _entry_operators(entries, "diagonal")
-    return max(a_numerical_radius_many(ops, tol))
+    return max(validated_radius_batch(_reduced_entries(entries, "diagonal", tol), tol))
 
 
 def _placed(entries, ctx: PsdContext | None, anti: bool) -> BlockMatrix:

@@ -9,9 +9,11 @@ of the flattened operator against the lifted weight is, up to a permutation
 similarity, the (d r) x (d r) grid of the R_ij, and the reduction of T_ij^#
 is R_ij^*, so no lifted operator and no n x n adjoint is formed.  Two circle
 searches give the radius of that grid and the (d, d) pair radii, whose
-diagonal holds the diagonal-block radii; :func:`search_radii` runs them for
-many works in lockstep, one search per matrix order, and a lone work runs
-them through it too.  The row and real/imaginary-part terms are norms of the
+diagonal holds the diagonal-block radii.  The (j, i) pair objective is the
+conjugate transpose of the (i, j) one at every angle, so only the d(d+1)/2
+pairs i <= j are searched.  :func:`search_radii` runs both searches for many
+works in lockstep, one search per matrix order, and a lone work runs them
+through it too.  The row and real/imaginary-part terms are norms of the
 reductions, so no n x n block product is formed either.  The bounds are its
 methods; :meth:`InstanceWork.report` evaluates them against the radius and
 turns the values into gaps and hold flags with a scale-aware slack.
@@ -30,7 +32,6 @@ import numpy as np
 from .blockops import BlockMatrix, _require_members
 from .config import DEFAULT_TOL, ToleranceConfig
 from .core import reduce_stack, top_singular
-from .errors import RouteDisagreement
 from .radii import offdiag_sup_batch, validated_radius_batch
 
 __all__ = ["BOUND_KEYS", "BoundReport", "InstanceWork", "evaluate_all", "search_radii"]
@@ -127,11 +128,12 @@ class InstanceWork:
 
     @cached_property
     def pair_omegas(self) -> np.ndarray:
-        """Matrix of pair radii omega_offdiag(T_ij, T_ji) over all d^2 ordered pairs.
+        """Symmetric (d, d) matrix of pair radii omega_offdiag(T_ij, T_ji).
 
         For i = j this is sup_theta ||Re_A(e^{i theta} T_ii)||_A = omega_A(T_ii), so
-        the diagonal radii come from the same search.  The exchange symmetry is
-        asserted, not assumed.  Filled, with ``omega``, by :func:`search_radii`.
+        the diagonal radii come from the same search.  Each pair i <= j is
+        searched once and read for both orders, so the matrix is symmetric by
+        construction.  Filled, with ``omega``, by :func:`search_radii`.
         """
         search_radii([self])
         return self.__dict__["pair_omegas"]
@@ -256,14 +258,15 @@ def search_radii(works: Sequence[InstanceWork]) -> None:
 
     The flattened radii run as one search per distinct tolerance and order
     d r, the pair problems as one search per distinct tolerance and order r
-    over the concatenated d^2 pair stacks, pair (i, j) on the reductions
-    R_ij and R_ji^* (that of T_ji^#).  Nothing is padded, and lockstep
+    over the concatenated upper triangles, pair (i, j), i <= j in row-major
+    order, on the reductions R_ij and R_ji^* (that of T_ji^#).  The (j, i)
+    objective is the conjugate transpose of the (i, j) one, with the same
+    norm, so each value fills both entries.  Nothing is padded, and lockstep
     searches are independent per problem, so every value is bitwise the one
-    a search of that work alone gives.  Each work's pair symmetry is checked
-    on its own rows.  A work is charged the seconds of each search in
-    proportion to its problems, in ``search_seconds``.  Caches are written
-    only once every search has succeeded, so a search that raises leaves
-    every work as it was.
+    a search of that work alone gives.  A work is charged the seconds of
+    each search in proportion to its problems, in ``search_seconds``.  Caches
+    are written only once every search has succeeded, so a search that
+    raises leaves every work as it was.
     """
     omegas, pairs = [0.0] * len(works), [None] * len(works)
     seconds = [{"omega": 0.0, "pairs": 0.0} for _ in works]
@@ -276,11 +279,15 @@ def search_radii(works: Sequence[InstanceWork]) -> None:
     for tol, group in _groups(works, lambda w: w.ctx.rank):
         t0 = time.perf_counter()
         grids = [works[i].reduced_blocks for i in group]
-        rights = _pair_stack([np.conj(g.transpose(1, 0, 3, 2)) for g in grids])
-        values = offdiag_sup_batch(_pair_stack(grids), rights, tol)
-        sizes = [len(g) ** 2 for g in grids]
-        for i, flat in zip(group, np.split(np.asarray(values), np.cumsum(sizes)[:-1])):
-            pairs[i] = _symmetric_pairs(works[i], flat)
+        uppers = [np.triu_indices(len(g)) for g in grids]
+        lefts = np.concatenate([g[iu] for g, iu in zip(grids, uppers)])
+        rights = np.concatenate([np.conj(g[iu[::-1]].transpose(0, 2, 1)) for g, iu in zip(grids, uppers)])
+        values = offdiag_sup_batch(lefts, rights, tol)
+        sizes = [len(iu[0]) for iu in uppers]
+        for i, iu, flat in zip(group, uppers, np.split(np.asarray(values), np.cumsum(sizes)[:-1])):
+            d = works[i].bm.d
+            pairs[i] = np.empty((d, d))
+            pairs[i][iu] = pairs[i][iu[::-1]] = flat
         per_problem = (time.perf_counter() - t0) / len(values)
         for i, size in zip(group, sizes):
             seconds[i]["pairs"] = per_problem * size
@@ -296,22 +303,6 @@ def _groups(works: Sequence[InstanceWork], order) -> list[tuple[ToleranceConfig,
     for i, w in enumerate(works):
         groups.setdefault((w.tol, order(w)), []).append(i)
     return [(tol, group) for (tol, _), group in groups.items()]
-
-
-def _pair_stack(grids: list[np.ndarray]) -> np.ndarray:
-    """The (d, d, r, r) grids as one stack of r x r problems, each in row-major order."""
-    return np.concatenate([g.reshape(-1, *g.shape[-2:]) for g in grids])
-
-
-def _symmetric_pairs(work: InstanceWork, values: np.ndarray) -> np.ndarray:
-    """The d^2 pair radii of ``work`` as a (d, d) matrix, its exchange symmetry
-    asserted: each entry comes from its own search of the pair."""
-    d = work.bm.d
-    out = values.reshape(d, d)
-    asym = np.abs(out - out.T).max()
-    if asym > 1e-10 * (1.0 + out.max() + top_singular(work.bm.blocks).max()):
-        raise RouteDisagreement(f"pair radii are asymmetric by {asym:.3e}")
-    return out
 
 
 def evaluate_all(

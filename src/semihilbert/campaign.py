@@ -14,7 +14,8 @@ The instances run in chunks of 16 consecutive ones, serially or one chunk
 per worker task.  A chunk generates, tests and reduces each instance on its
 own, then searches the radii of all of them in lockstep, one circle search
 per matrix order (:func:`semihilbert.bounds.search_radii`): the 12 acceptance
-specs with one trial each make 10 searches for their 24 radius stacks.
+specs with one trial each make 10 searches for their 12 flattened radii and
+76 pair problems, d(d+1)/2 per instance.
 Lockstep searches are independent per problem, so the reports are bitwise
 those of instances run alone, whatever the chunking.
 """

@@ -41,10 +41,6 @@ class NotABounded(SemiHilbertError):
     """Operator is unbounded with respect to the weighted seminorm."""
 
 
-class RouteDisagreement(SemiHilbertError):
-    """Two independent computation routes disagree beyond tolerance."""
-
-
 class GelfandDivergence(SemiHilbertError):
     """Power-sequence cross-check fell below the computed spectral radius."""
 

@@ -7,11 +7,8 @@ one circle search per radius, on r x r matrices.  The reduction sends the
 weighted adjoint to the conjugate transpose, ``reduce(T^#) = R^*``, an
 algebraic identity of the stacked primitives of :mod:`semihilbert.core`
 that the test suite pins; so a pair radius reads ``R^*`` instead of reducing
-an adjoint.  Batches zero-pad reductions of different orders.  A direct sum
-with a zero block keeps all three radii in exact arithmetic, but the
-eigensolver sees a different matrix, so a radius from a padded batch equals
-the one computed alone up to rounding, not bitwise.  The rotated-real-part
-supremum
+an adjoint.  Stacked searches take reductions of one order; nothing is
+padded.  The rotated-real-part supremum
 
     sup_theta || (e^{i theta} T + e^{-i theta} T^#) / 2 ||_A
 
@@ -27,7 +24,6 @@ supremum of ``lambda_max``.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -40,7 +36,7 @@ from .circle import (
     sup_on_circle_batch,
 )
 from .config import DEFAULT_TOL, ToleranceConfig
-from .core import Operator, a_adjoint, in_ba, reduce, spectral_norm
+from .core import Operator, a_adjoint, in_ba, reduce, reduce_stack, spectral_norm
 from .errors import DimensionMismatch, GelfandDivergence, NotInBA
 
 __all__ = [
@@ -50,11 +46,9 @@ __all__ = [
     "im_a",
     "omega_real_part_sup",
     "a_numerical_radius",
-    "a_numerical_radius_many",
     "a_spectral_radius",
     "gelfand_envelope",
     "omega_offdiag",
-    "omega_offdiag_many",
 ]
 
 # computed eigenvalues of a defective matrix can sit O(sqrt(eps)) above the
@@ -138,29 +132,9 @@ def validated_radius_batch(reduced: np.ndarray, tol: ToleranceConfig) -> list[fl
     return [r.value for r in _rotation_search(reduced, tol)]
 
 
-def _padded_stack(mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Stack square matrices zero-padded to the largest order.
-
-    A direct sum with a zero block keeps sigma_max, the numerical radius and
-    the pair objective in exact arithmetic; a padded member's value matches
-    its unpadded one up to rounding.
-    """
-    order = max(len(m) for m in mats)
-    return np.stack([np.pad(m, (0, order - len(m))) for m in mats])
-
-
-def a_numerical_radius_many(
-    ops: Sequence[Operator], tol: ToleranceConfig = DEFAULT_TOL
-) -> list[float]:
-    """Weighted numerical radii of same-shaped operators, searched in lockstep."""
-    if not ops:
-        return []
-    return validated_radius_batch(_padded_stack([reduce(op, tol) for op in ops]), tol)
-
-
 def a_numerical_radius(op: Operator, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Weighted numerical radius sup{|x* A T x| : ||x||_A = 1}."""
-    return a_numerical_radius_many([op], tol)[0]
+    return validated_radius_batch(reduce(op, tol)[None], tol)[0]
 
 
 def gelfand_envelope(op: Operator, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -230,28 +204,20 @@ def offdiag_sup_batch(
     return [r.value / 2.0 for r in _phase_combo_search(lefts, rights, tol)]
 
 
-def omega_offdiag_many(
-    pairs: Sequence[tuple[Operator, Operator]], tol: ToleranceConfig = DEFAULT_TOL
-) -> list[float]:
-    """Off-diagonal radii (1/2) sup_theta ||e^{i t} T + e^{-i t} S^#||_A in lockstep."""
-    if not pairs:
-        return []
-    for t, s in pairs:
-        if not t.ctx.same_weight(s.ctx):
-            raise DimensionMismatch("paired operators must share a weight context")
-        for side, op in (("left", t), ("right", s)):
-            if not in_ba(op, tol):
-                raise NotInBA(f"{side} operator does not admit a weighted adjoint")
-    lefts = _padded_stack([reduce(t, tol) for t, _ in pairs])
-    # the reduction of S^# is the conjugate transpose of that of S
-    rights = _padded_stack([reduce(s, tol).conj().T for _, s in pairs])
-    return offdiag_sup_batch(lefts, rights, tol)
-
-
 def omega_offdiag(t: Operator, s: Operator, tol: ToleranceConfig = DEFAULT_TOL) -> float:
-    """Numerical radius of the 2x2 off-diagonal block arrangement of (t, s).
+    """Numerical radius of the 2x2 off-diagonal block arrangement of (t, s),
+    (1/2) sup_theta ||e^{i theta} T + e^{-i theta} S^#||_A.
 
     Symmetric in its arguments; equals the lifted-block computation, which
-    the verification harness checks independently.
+    the verification harness checks independently.  Each operand must admit
+    a weighted adjoint, which implies boundedness, so the reductions are
+    taken unchecked.
     """
-    return omega_offdiag_many([(t, s)], tol)[0]
+    if not t.ctx.same_weight(s.ctx):
+        raise DimensionMismatch("paired operators must share a weight context")
+    for side, op in (("left", t), ("right", s)):
+        if not in_ba(op, tol):
+            raise NotInBA(f"{side} operator does not admit a weighted adjoint")
+    # the reduction of S^# is the conjugate transpose of that of S
+    right = reduce_stack(s.ctx, s.t).conj().T
+    return offdiag_sup_batch(reduce_stack(t.ctx, t.t)[None], right[None], tol)[0]

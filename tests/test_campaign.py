@@ -12,8 +12,8 @@ from semihilbert import (
     DEFAULT_TOL,
     CampaignConfig,
     GenSpec,
+    GelfandDivergence,
     InstanceWork,
-    RouteDisagreement,
     SemiHilbertError,
     ToleranceConfig,
     bounds,
@@ -102,7 +102,7 @@ def test_corrupted_bound_is_reported(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "error", [RouteDisagreement("routes differ"), np.linalg.LinAlgError("no convergence")]
+    "error", [GelfandDivergence("power sequence fell below"), np.linalg.LinAlgError("no convergence")]
 )
 def test_instance_error_is_recorded_and_the_campaign_goes_on(tmp_path, monkeypatch, error):
     clean = tmp_path / "clean"
@@ -318,15 +318,16 @@ def test_error_in_the_lockstep_search_stays_with_its_instance(tmp_path, monkeypa
 
 
 def test_lockstep_reports_charge_each_instance_its_share_of_the_searches():
-    # flattened orders 6, 6 and 4; pair orders 2, 3 and 2 with 9, 4 and 4
-    # problems: the first two share the order-6 search equally, and the first
-    # and last the r = 2 pair search in the ratio 9 : 4 of their problems
+    # flattened orders 6, 6 and 4; pair orders 2, 3 and 2 with 6, 3 and 3
+    # problems, the pairs i <= j: the first two share the order-6 search
+    # equally, and the first and last the r = 2 pair search in the ratio 6 : 3
+    # of their problems
     specs = (GenSpec(n=2, d=3, rank=2), GenSpec(n=3, d=2, rank=3), GenSpec(n=3, d=2, rank=2))
     works = [InstanceWork(gen_block_matrix(spec, FAST_TOL), FAST_TOL) for spec in specs]
     bounds.search_radii(works)
     shares = [w.search_seconds for w in works]
     assert shares[0]["omega"] == shares[1]["omega"]
-    assert shares[0]["pairs"] == pytest.approx(shares[2]["pairs"] * 9 / 4, rel=1e-12)
+    assert shares[0]["pairs"] == pytest.approx(shares[2]["pairs"] * 6 / 3, rel=1e-12)
     for work, share in zip(works, shares):
         report = work.report()
         assert report.timing["omega"] == share["omega"] > 0

@@ -10,7 +10,6 @@ from semihilbert import (
     ToleranceConfig,
     a_adjoint,
     a_numerical_radius,
-    a_numerical_radius_many,
     a_op_norm,
     a_spectral_radius,
     classical_numerical_radius,
@@ -19,7 +18,6 @@ from semihilbert import (
     im_a,
     make_context,
     omega_offdiag,
-    omega_offdiag_many,
     omega_real_part_sup,
     re_a,
     reduce,
@@ -332,19 +330,6 @@ def test_offdiag_pair_with_itself_is_the_numerical_radius(ensemble, tol):
             _, t = random_member(n, rank, seed=10 * n + rank, ensemble=ensemble)
             omega = a_numerical_radius(t, tol)
             assert abs(omega_offdiag(t, t, tol) - omega) <= 1e-13 * (1.0 + omega)
-
-
-def test_batches_mix_weights_of_different_rank():
-    # reductions are rank x rank, so the batch pads them to a common order
-    full, half = (random_member(4, rank, seed=rank) for rank in (4, 2))
-    ops = [full[1], half[1]]
-    batched = a_numerical_radius_many(ops)
-    for op, omega in zip(ops, batched):
-        assert abs(omega - a_numerical_radius(op)) <= 1e-13 * (1.0 + omega)
-    pairs = [(op, gen_compatible(ctx, 50 + k)) for k, (ctx, op) in enumerate((full, half))]
-    batched = omega_offdiag_many(pairs)
-    for (t, s), omega in zip(pairs, batched):
-        assert abs(omega - omega_offdiag(t, s)) <= 1e-13 * (1.0 + omega)
 
 
 def test_offdiag_requires_membership_of_both_operands():

@@ -16,7 +16,8 @@ from semihilbert.circle import (
     sup_on_circle_batch,
 )
 from semihilbert.core import first_failure, reduce, reduce_stack
-from semihilbert.radii import classical_numerical_radius, omega_real_part_sup
+from semihilbert.generators import gen_compatible
+from semihilbert.radii import classical_numerical_radius, omega_offdiag, omega_real_part_sup
 
 from conftest import random_member
 from test_blockops import random_block_matrix
@@ -57,10 +58,10 @@ def test_numerical_radius_makes_one_search(searches):
 
 
 def test_evaluate_all_makes_two_searches(searches):
-    # the flattened radius, then one search over all d^2 pair problems, whose
-    # diagonal holds the diagonal radii; B3 is closed form
+    # the flattened radius, then one search over the d(d+1)/2 pair problems
+    # i <= j, whose diagonal holds the diagonal radii; B3 is closed form
     evaluate_all(random_block_matrix(3, 2, 1, seed=9))
-    assert searches == [1, 9]
+    assert searches == [1, 6]
 
 
 @pytest.mark.parametrize("rank, orders", [(2, [6, 2]), (4, [12, 4])])
@@ -109,8 +110,9 @@ def test_campaign_chunk_makes_one_search_per_matrix_order(searches, monkeypatch)
     assert len(searches) == 10
     assert sorted(orders["omega"]) == [2, 3, 4, 6, 8, 9, 12]
     assert sorted(orders["pairs"]) == [1, 2, 3]
-    # every instance's flattened radius and d^2 pair problems, each searched once
-    assert sum(searches) == 12 + sum(d * d for d in (2, 3, 4) for _ in range(4))
+    # every instance's flattened radius and its d(d+1)/2 pair problems i <= j,
+    # each searched once: 12 + 76 = 88 problems
+    assert sum(searches) == 12 + sum(d * (d + 1) // 2 for d in (2, 3, 4) for _ in range(4))
 
 
 def test_every_radius_search_samples_half_the_circle(monkeypatch):
@@ -190,3 +192,18 @@ def test_evaluate_all_reduces_the_block_grid_once(monkeypatch):
     assert patch_everywhere(monkeypatch, reduce_stack, counted) >= 2
     evaluate_all(random_block_matrix(3, 2, 1, seed=9))
     assert batches == [(3, 3)]
+
+
+def test_offdiag_radius_tests_each_operand_once(monkeypatch):
+    # admitting a weighted adjoint implies boundedness, so each operand's
+    # adjoint test is its only membership test and the reductions are unchecked
+    kinds = []
+
+    def counted(ctx, mats, tol=semihilbert.DEFAULT_TOL, half=False):
+        kinds.append("half" if half else "adjoint")
+        return first_failure(ctx, mats, tol, half)
+
+    assert patch_everywhere(monkeypatch, first_failure, counted) >= 2
+    ctx, t = random_member(4, 3, seed=9)
+    omega_offdiag(t, gen_compatible(ctx, 10))
+    assert kinds == ["adjoint", "adjoint"]

@@ -68,6 +68,17 @@ def test_malformed_block_files_raise_package_errors():
         matrix_from_json([[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]]])
 
 
+@pytest.mark.parametrize("value", [1.5, 1.0, True, "1", None, 0, -2])
+def test_block_counts_must_be_positive_integers(value):
+    # int() would truncate 1.5, True and "1" to d = 1 and accept them
+    data = block_matrix_to_json(random_block_matrix(1, 2, 2, seed=5))
+    with pytest.raises(BadIndex, match=rf"d must be an integer of at least 1, got {value!r}"):
+        block_matrix_from_json(dict(data, d=value))
+    with pytest.raises(DimensionMismatch, match=rf"n must be an integer of at least 1, got {value!r}"):
+        block_matrix_from_json(dict(data, n=value))
+    assert block_matrix_from_json(dict(data, d=np.int64(1), n=np.int64(2))).n == 2
+
+
 def test_tolerance_roundtrip():
     tol = ToleranceConfig(theta_samples=64)
     assert tolerance_from_json(tolerance_to_json(tol)) == tol
