@@ -23,7 +23,7 @@ from .blockops import (
 )
 from .bounds import BOUND_KEYS, BoundReport, InstanceWork, evaluate_all
 from .campaign import CampaignConfig, CampaignResult, run_campaign
-from .circle import ThetaSearchResult, sup_on_circle, sup_on_circle_batch
+from .circle import sup_on_circle_batch
 from .config import DEFAULT_TOL, ToleranceConfig
 from .core import (
     Operator,

@@ -151,12 +151,19 @@ def u_k(k: int, d: int, ctx: PsdContext) -> BlockMatrix:
     return assemble(grid, ctx)
 
 
+def _bounded_reductions(ctx: PsdContext, mats: np.ndarray, tol: ToleranceConfig, what: str) -> np.ndarray:
+    """Reductions of a stack, after one boundedness test whose
+    :class:`NotABounded` names the first unbounded ``what`` by its index."""
+    bad = first_failure(ctx, mats, tol, half=True)
+    if bad is not None:
+        index = bad[0] if len(bad) == 1 else bad
+        raise NotABounded(f"{what} {index} is unbounded for the weighted seminorm")
+    return reduce_stack(ctx, mats)
+
+
 def hat_matrix(bm: BlockMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """The d x d matrix of blockwise weighted seminorms."""
-    bad = first_failure(bm.base_ctx, bm.blocks, tol, half=True)
-    if bad is not None:
-        raise NotABounded(f"block {bad} is unbounded for the weighted seminorm")
-    return top_singular(reduce_stack(bm.base_ctx, bm.blocks))
+    return top_singular(_bounded_reductions(bm.base_ctx, bm.blocks, tol, "block"))
 
 
 def _entry_operators(
@@ -175,14 +182,9 @@ def _entry_operators(
 
 
 def _reduced_entries(entries, shape: str, tol: ToleranceConfig) -> np.ndarray:
-    """Reductions of the entries' stack, after one boundedness test naming
-    the first unbounded entry."""
+    """Reductions of the entries' stack, checked bounded entry by entry."""
     ops, ctx = _entry_operators(entries, shape)
-    mats = np.stack([op.t for op in ops])
-    bad = first_failure(ctx, mats, tol, half=True)
-    if bad is not None:
-        raise NotABounded(f"entry {bad[0]} is unbounded for the weighted seminorm")
-    return reduce_stack(ctx, mats)
+    return _bounded_reductions(ctx, np.stack([op.t for op in ops]), tol, "entry")
 
 
 def structured_norms(entries, shape: str, tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -192,7 +194,7 @@ def structured_norms(entries, shape: str, tol: ToleranceConfig = DEFAULT_TOL) ->
 
 def structured_omega(entries, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Numerical radius of a diagonal block matrix: max of entry radii."""
-    return max(validated_radius_batch(_reduced_entries(entries, "diagonal", tol), tol))
+    return float(validated_radius_batch(_reduced_entries(entries, "diagonal", tol), tol).max())
 
 
 def _placed(entries, ctx: PsdContext | None, anti: bool) -> BlockMatrix:

@@ -274,7 +274,7 @@ def search_radii(works: Sequence[InstanceWork]) -> None:
         t0 = time.perf_counter()
         values = validated_radius_batch(np.stack([works[i].flat_reduced for i in group]), tol)
         share = (time.perf_counter() - t0) / len(group)
-        for i, value in zip(group, values):
+        for i, value in zip(group, values.tolist()):
             omegas[i], seconds[i]["omega"] = value, share
     for tol, group in _groups(works, lambda w: w.ctx.rank):
         t0 = time.perf_counter()
@@ -284,7 +284,7 @@ def search_radii(works: Sequence[InstanceWork]) -> None:
         rights = np.concatenate([np.conj(g[iu[::-1]].transpose(0, 2, 1)) for g, iu in zip(grids, uppers)])
         values = offdiag_sup_batch(lefts, rights, tol)
         sizes = [len(iu[0]) for iu in uppers]
-        for i, iu, flat in zip(group, uppers, np.split(np.asarray(values), np.cumsum(sizes)[:-1])):
+        for i, iu, flat in zip(group, uppers, np.split(values, np.cumsum(sizes)[:-1])):
             d = works[i].bm.d
             pairs[i] = np.empty((d, d))
             pairs[i][iu] = pairs[i][iu[::-1]] = flat

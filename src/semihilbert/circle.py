@@ -15,10 +15,9 @@ converges quadratically at simple top eigenvalues and never leaves the
 bracket.  Many searches with the same grid run in lockstep, and lanes that
 have converged drop out of later steps.
 
-The period defaults to 2*pi.  Every radius objective here has period pi,
-because the operator at theta + pi is the negative of the one at theta, so
-radius searches sample only [0, pi), at the spacing ``2*pi / theta_samples``
-or finer.
+Every objective here has period pi, because the operator at theta + pi
+is the negative of the one at theta, so searches sample only [0, pi), at
+the spacing ``2*pi / theta_samples`` or finer, and return the suprema alone.
 
 Objectives receive an array of angles of shape (problems, points) and must
 return values of the same shape.  The objectives here evaluate the grid in
@@ -29,13 +28,11 @@ many instances holds no more of the pencil stack than a small one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL, ToleranceConfig
+from .config import ToleranceConfig
 
-TWO_PI = 2.0 * math.pi
 _PEAKS = 3
 _EPS = np.finfo(float).eps
 # slopes and curvatures within this multiple of eps * ||H|| are rounding, so a
@@ -49,82 +46,48 @@ _GAP = math.sqrt(_EPS)
 _GRID_SLICE = 16
 
 
-@dataclass(frozen=True)
-class ThetaSearchResult:
-    """Outcome of a circle-parameter supremum search.
-
-    value          the supremum found (never below any sampled value)
-    argmax_theta   maximizing angle in [0, period); ties go to the smaller angle
-    samples        grid resolution: ``theta_samples`` points per full circle,
-                   so a period-pi search samples half of them
-    refined        whether Newton refinement ran
-    """
-
-    value: float
-    argmax_theta: float
-    samples: int
-    refined: bool
-
-
-def sup_on_circle_batch(
-    evaluate,
-    count: int,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    period: float = TWO_PI,
-    derivatives=None,
-):
-    """Maximize ``count`` objectives over theta simultaneously.
+def sup_on_circle_batch(evaluate, count: int, tol: ToleranceConfig, derivatives) -> np.ndarray:
+    """Suprema of ``count`` pi-periodic objectives over theta, as a float64
+    array of shape (count,).
 
     ``evaluate(thetas)`` must accept shape (count, k) and return per-angle
-    objective values of the same shape; it samples the grid.  The objectives
-    must repeat with ``period``: the grid covers [0, period) with
-    ``ceil(theta_samples * period / 2pi)`` points, never coarser than
+    objective values of the same shape; it samples the grid, which covers
+    [0, pi) with ``ceil(theta_samples / 2)`` points, never coarser than
     ``2pi / theta_samples``.
 
     ``derivatives(rows, thetas)`` takes flat arrays of problem indices and
     angles and returns the objective's values, slopes and curvatures there.
     A slope of exactly 0 marks a stationary point, where the refiner stops
     unless the curvature is positive; elsewhere a curvature that is not
-    negative makes it bisect.  Without an oracle, or when the grid brackets
-    are already narrower than ``theta_refine_tol``, the search ends at the
-    grid.
+    negative makes it bisect.  When the grid brackets are already no wider
+    than ``theta_refine_tol``, the search ends at the grid.  Each value is
+    the grid maximum unless a refined peak is strictly larger.
     """
-    m = math.ceil(tol.theta_samples * (period / TWO_PI))
-    h = period / m
+    m = math.ceil(tol.theta_samples / 2)
+    h = math.pi / m
     grid = np.arange(m) * h
     gvals = np.asarray(evaluate(np.broadcast_to(grid, (count, m))), dtype=float)
+    best_idx = np.argmax(gvals, axis=1)
+    best = gvals[np.arange(count), best_idx]
+    if 2.0 * h <= tol.theta_refine_tol:
+        return best
 
     # circular local maxima; problems with fewer than _PEAKS of them repeat
     # their global best point, which is refined once
     peaks = (gvals >= np.roll(gvals, 1, axis=1)) & (gvals >= np.roll(gvals, -1, axis=1))
     scored = np.where(peaks, gvals, -np.inf)
     top = np.argsort(scored, axis=1)[:, : -_PEAKS - 1 : -1]
-    best_idx = np.argmax(gvals, axis=1)
     top = np.where(np.take_along_axis(peaks, top, axis=1), top, best_idx[:, None])
-
-    thetas = top * h
-    refined = derivatives is not None and 2.0 * h > tol.theta_refine_tol
-    if refined:
-        fresh = np.ones(top.shape, dtype=bool)
-        for k in range(1, _PEAKS):
-            fresh[:, k] = (top[:, k, None] != top[:, :k]).all(axis=1)
-        rows, cols = np.nonzero(fresh)
-        values = np.full(top.shape, -np.inf)
-        thetas[rows, cols], values[rows, cols] = _newton_refine(
-            derivatives, rows, thetas[rows, cols], h, tol.theta_refine_tol
-        )
-    else:
-        values = np.take_along_axis(gvals, top, axis=1)
-
-    # the best of the grid maximum and the refined peaks, ties to the smaller angle
-    cand_theta = np.concatenate([(best_idx * h)[:, None], np.mod(thetas, period)], axis=1)
-    cand_val = np.concatenate([gvals[np.arange(count), best_idx][:, None], values], axis=1)
-    pick = np.lexsort((cand_theta, -cand_val))[:, 0]
-    rows = np.arange(count)
-    return [
-        ThetaSearchResult(float(v), float(t), tol.theta_samples, refined)
-        for v, t in zip(cand_val[rows, pick], cand_theta[rows, pick] % period)
-    ]
+    fresh = np.ones(top.shape, dtype=bool)
+    for k in range(1, _PEAKS):
+        fresh[:, k] = (top[:, k, None] != top[:, :k]).all(axis=1)
+    rows, cols = np.nonzero(fresh)
+    refined = np.full(top.shape, -np.inf)
+    refined[rows, cols] = _newton_refine(derivatives, rows, top[rows, cols] * h, h, tol.theta_refine_tol)
+    # strictly greater, so an equal refined value (a zero of the other sign)
+    # never replaces the grid maximum
+    refined = refined.max(axis=1)
+    return np.where(refined > best, refined, best)
 
 
 def _newton_refine(derivatives, rows: np.ndarray, starts: np.ndarray, h: float, step_tol: float):
@@ -136,20 +99,20 @@ def _newton_refine(derivatives, rows: np.ndarray, starts: np.ndarray, h: float, 
     evaluates), or once its bracket is no wider than ``step_tol``.  From a
     strict minimum it bisects the left half of its bracket.  The step cap,
     twice the bisections from ``2h`` down to ``step_tol``, is a safety net.
-    Returns the best angle and value each lane evaluated.
+    Returns the best value each lane evaluated.
     """
     size = starts.size
-    best_theta, best_val = starts.astype(float), np.full(size, -np.inf)
+    best_val = np.full(size, -np.inf)
     # state of the live lanes only: lane index, problem, angle, bracket, and
     # whether the next evaluation is the lane's final one
     lane = np.arange(size)
-    theta = best_theta.copy()
+    theta = starts
     lo, hi = theta - h, theta + h
     last = np.zeros(size, dtype=bool)
     for _ in range(2 * math.ceil(math.log2(2.0 * h / step_tol)) + 8):
         value, slope, curv = derivatives(rows, theta)
         gain = value > best_val[lane]
-        best_val[lane[gain]], best_theta[lane[gain]] = value[gain], theta[gain]
+        best_val[lane[gain]] = value[gain]
 
         stationary = slope == 0.0
         newton = curv < 0.0
@@ -167,14 +130,7 @@ def _newton_refine(derivatives, rows: np.ndarray, starts: np.ndarray, h: float, 
             if not keep.any():
                 break
             lane, rows, theta, lo, hi, last = (x[keep] for x in (lane, rows, theta, lo, hi, last))
-    return best_theta, best_val
-
-
-def sup_on_circle(
-    evaluate, tol: ToleranceConfig = DEFAULT_TOL, derivatives=None
-) -> ThetaSearchResult:
-    """Single-objective variant of :func:`sup_on_circle_batch`."""
-    return sup_on_circle_batch(evaluate, 1, tol, derivatives=derivatives)[0]
+    return best_val
 
 
 def _hermitian_parts(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -16,11 +16,10 @@ class ToleranceConfig:
                       exactly zero
     cmp_atol          slack used by inequality and membership checks,
                       always scaled by the magnitude of the operands
-    theta_samples     grid resolution of the circle-parameter suprema: the
-                      grid spacing is at most 2*pi / theta_samples, so a
-                      full-circle search samples theta_samples points and
-                      a pi-periodic objective (every radius) samples [0, pi)
-                      with half of them (rounded up)
+    theta_samples     grid resolution of the circle-parameter suprema: every
+                      objective has period pi, so the grid samples [0, pi)
+                      with ceil(theta_samples / 2) points, a spacing of at
+                      most 2*pi / theta_samples
     theta_refine_tol  angle resolution of the Newton refinement: it stops
                       after a step no longer than this, or once the
                       bracket around the peak is no wider

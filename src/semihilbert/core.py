@@ -118,11 +118,14 @@ class PsdContext:
 def make_context(a, tol: ToleranceConfig = DEFAULT_TOL) -> PsdContext:
     """Validate a Hermitian PSD matrix and compute its truncated eigenpairs.
 
-    Raises NotHermitian when the asymmetry exceeds tolerance, NotPositive
-    when an eigenvalue falls below ``-cmp_atol`` (smaller negatives are
-    clamped to zero), and ZeroOperator when the matrix is numerically zero.
+    Raises DimensionMismatch unless the matrix is square and non-empty,
+    NotHermitian when the asymmetry exceeds tolerance, NotPositive when an
+    eigenvalue falls below ``-cmp_atol`` (smaller negatives are clamped to
+    zero), and ZeroOperator when the matrix is numerically zero.
     """
     m = _as_square_complex(a)
+    if m.size == 0:
+        raise DimensionMismatch("weight matrix is empty")
     scale = spectral_norm(m)
     if spectral_norm(m - m.conj().T) > tol.cmp_atol * (1.0 + scale):
         raise NotHermitian("weight matrix is not Hermitian within tolerance")

@@ -28,7 +28,6 @@ import math
 import numpy as np
 
 from .circle import (
-    ThetaSearchResult,
     phase_combo_derivatives,
     phase_combo_norm_objective,
     rotation_eig_derivatives,
@@ -56,36 +55,15 @@ __all__ = [
 _DEFECTIVE_GUARD = 256.0 * math.sqrt(np.finfo(float).eps)
 
 
-def _rotation_search(mats: np.ndarray, tol: ToleranceConfig) -> list[ThetaSearchResult]:
-    """Suprema of ||H(t)||_2 over [0, pi) for a stack, H(t) the rotated Hermitian part."""
-    return sup_on_circle_batch(
-        rotation_eig_objective(mats), len(mats), tol, math.pi, rotation_eig_derivatives(mats)
-    )
-
-
-def _phase_combo_search(
-    lefts: np.ndarray, rights: np.ndarray, tol: ToleranceConfig
-) -> list[ThetaSearchResult]:
-    """Suprema of sigma_max(e^{i t} L + e^{-i t} R) over [0, pi) for stacked pairs.
-
-    The grid samples the cheaper Gram objective, and the refiner the
-    Hermitian dilation, whose eigenvectors give the derivatives.
-    """
-    return sup_on_circle_batch(
-        phase_combo_norm_objective(lefts, rights),
-        len(lefts),
-        tol,
-        math.pi,
-        phase_combo_derivatives(lefts, rights),
-    )
-
-
-def classical_numerical_radius(m, tol: ToleranceConfig = DEFAULT_TOL) -> ThetaSearchResult:
-    """Numerical radius of a plain complex matrix via the circle supremum."""
+def classical_numerical_radius(m, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+    """Numerical radius of a plain complex matrix via the circle supremum; 0.0
+    for empty input."""
     mats = np.asarray(m, dtype=np.complex128)[None]
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {mats.shape[1:]}")
-    return _rotation_search(mats, tol)[0]
+    if mats.size == 0:
+        return 0.0
+    return float(validated_radius_batch(mats, tol)[0])
 
 
 def classical_spectral_radius(m) -> float:
@@ -110,31 +88,34 @@ def im_a(op: Operator, tol: ToleranceConfig = DEFAULT_TOL) -> Operator:
     return Operator((op.t - sharp.t) / 2.0j, op.ctx)
 
 
-def omega_real_part_sup(op: Operator, tol: ToleranceConfig = DEFAULT_TOL) -> ThetaSearchResult:
-    """Numerical radius as the supremum of rotated weighted real parts.
+def omega_real_part_sup(op: Operator, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+    """Numerical radius as the supremum of rotated weighted real parts,
+    ``sup_theta ||e^{i theta} R + e^{-i theta} reduce(T^#)|| / 2``.
 
     Valid for operators admitting a weighted adjoint; an independent route
     to the reduction-based computation, which the acceptance suite compares.
     """
     reduced = reduce(op, tol)
     sharp_reduced = reduce(a_adjoint(op, tol), tol)
-    return _phase_combo_search(reduced[None] / 2.0, sharp_reduced[None] / 2.0, tol)[0]
+    return float(offdiag_sup_batch(reduced[None], sharp_reduced[None], tol)[0])
 
 
-def validated_radius_batch(reduced: np.ndarray, tol: ToleranceConfig) -> list[float]:
-    """Numerical radii for a stack of already-reduced matrices.
+def validated_radius_batch(reduced: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """Numerical radii for a stack of already-reduced matrices, shape (count,).
 
     Each radius is the supremum of the largest |lambda| of the rotated
     Hermitian part H(t) = (e^{it} R + e^{-it} R^*) / 2, which equals the
     rotated-real-part objective because the reduction of T^# is R^*.  Since
     H(t + pi) = -H(t), the search covers [0, pi).
     """
-    return [r.value for r in _rotation_search(reduced, tol)]
+    return sup_on_circle_batch(
+        rotation_eig_objective(reduced), len(reduced), tol, rotation_eig_derivatives(reduced)
+    )
 
 
 def a_numerical_radius(op: Operator, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Weighted numerical radius sup{|x* A T x| : ||x||_A = 1}."""
-    return validated_radius_batch(reduce(op, tol)[None], tol)[0]
+    return float(validated_radius_batch(reduce(op, tol)[None], tol)[0])
 
 
 def gelfand_envelope(op: Operator, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -193,15 +174,19 @@ def reduced_spectral_radius(reduced: np.ndarray, tol: ToleranceConfig) -> float:
     return primary
 
 
-def offdiag_sup_batch(
-    lefts: np.ndarray, rights: np.ndarray, tol: ToleranceConfig
-) -> list[float]:
-    """Halved suprema of sigma_max(e^{i t} L + e^{-i t} R) for reduced stacks.
+def offdiag_sup_batch(lefts: np.ndarray, rights: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """Halved suprema of sigma_max(e^{i t} L + e^{-i t} R) for reduced stacks,
+    shape (count,).
 
-    The objective has period pi, so the search covers [0, pi).  With ``R = L^*``
-    the value is the numerical radius of L: the bounds' diagonal-block radii.
+    The objective has period pi, so the search covers [0, pi).  The grid
+    samples the cheaper Gram objective, and the refiner the Hermitian
+    dilation, whose eigenvectors give the derivatives.  With ``R = L^*`` the
+    value is the numerical radius of L: the bounds' diagonal-block radii.
     """
-    return [r.value / 2.0 for r in _phase_combo_search(lefts, rights, tol)]
+    sups = sup_on_circle_batch(
+        phase_combo_norm_objective(lefts, rights), len(lefts), tol, phase_combo_derivatives(lefts, rights)
+    )
+    return sups / 2.0
 
 
 def omega_offdiag(t: Operator, s: Operator, tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -220,4 +205,4 @@ def omega_offdiag(t: Operator, s: Operator, tol: ToleranceConfig = DEFAULT_TOL) 
             raise NotInBA(f"{side} operator does not admit a weighted adjoint")
     # the reduction of S^# is the conjugate transpose of that of S
     right = reduce_stack(s.ctx, s.t).conj().T
-    return offdiag_sup_batch(reduce_stack(t.ctx, t.t)[None], right[None], tol)[0]
+    return float(offdiag_sup_batch(reduce_stack(t.ctx, t.t)[None], right[None], tol)[0])

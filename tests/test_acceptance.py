@@ -97,8 +97,8 @@ def test_criterion_2_route_agreement():
         rank = max(1, n - seed % 2)
         ctx = gen_psd(n, rank, seed)
         op = gen_compatible(ctx, seed + 10_000)
-        primary = classical_numerical_radius(reduce(op)).value
-        alt = omega_real_part_sup(op).value
+        primary = classical_numerical_radius(reduce(op))
+        alt = omega_real_part_sup(op)
         assert abs(primary - alt) <= 1e-7 * max(primary, 1e-12), (seed, primary, alt)
         checked += 1
     assert checked == 500
@@ -237,7 +237,7 @@ def test_criterion_7_lemma_suite():
         # nonnegative-matrix radius via the symmetrized spectral radius
         rng = np.random.default_rng(seed)
         nn = rng.random((d, d))
-        direct = classical_numerical_radius(nn).value
+        direct = classical_numerical_radius(nn)
         sym = np.abs(np.linalg.eigvalsh(nn + nn.T)).max() / 2.0
         assert abs(direct - sym) <= SLACK * (1.0 + direct)
 

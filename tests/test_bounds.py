@@ -116,7 +116,7 @@ def test_th2_is_top_eigenvalue_of_symmetric_comparison_matrix():
         th2 = work.th2()
         assert th2 == np.linalg.eigvalsh((s + s.T) / 2.0)[-1]
         # exact in exact arithmetic; eigensolver rounding is a few ulp
-        assert th2 >= classical_numerical_radius(s, fine).value - 1e-14 * max(1.0, th2)
+        assert th2 >= classical_numerical_radius(s, fine) - 1e-14 * max(1.0, th2)
 
 
 def lifted_permutation(bm) -> np.ndarray:
@@ -262,7 +262,7 @@ def test_nonnegative_radius_halved_row_column_sum():
     for d in (2, 3, 4):
         for _ in range(15):
             t = rng.random((d, d))
-            direct = classical_numerical_radius(t).value
+            direct = classical_numerical_radius(t)
             sym = np.abs(np.linalg.eigvalsh(t + t.T)).max() / 2.0
             assert abs(direct - sym) <= SLACK * (1.0 + direct)
 

@@ -57,6 +57,16 @@ def test_campaign_runs_clean():
     assert all(result.summary["min_gap"][k] >= -1e-8 for k in BOUND_KEYS)
 
 
+def test_reports_hold_python_floats_and_bools():
+    # json.dumps rejects numpy bools, and the CSV repr of a numpy float is
+    # "np.float64(...)", so the search arrays end at the report boundary
+    for report in run_campaign(small_config()).reports:
+        assert type(report.omega) is float
+        assert all(type(v) is float for v in report.bounds.values())
+        assert all(type(v) is bool for v in report.holds.values())
+        assert type(report.refinement_ok) is bool
+
+
 def test_campaign_reports_sorted_by_instance_id():
     result = run_campaign(small_config())
     ids = [r.instance_id for r in result.reports]

@@ -21,6 +21,7 @@ from semihilbert import (
     omega_real_part_sup,
     re_a,
     reduce,
+    structured_omega,
 )
 from semihilbert.generators import (
     ENSEMBLES,
@@ -41,11 +42,11 @@ SLACK = 1e-8
 
 
 def test_classical_radius_nilpotent_block():
-    assert classical_numerical_radius([[0, 1], [0, 0]]).value == pytest.approx(0.5)
+    assert classical_numerical_radius([[0, 1], [0, 0]]) == pytest.approx(0.5)
 
 
 def test_classical_radius_hermitian():
-    assert classical_numerical_radius(np.diag([1.0, -1.0])).value == pytest.approx(1.0)
+    assert classical_numerical_radius(np.diag([1.0, -1.0])) == pytest.approx(1.0)
 
 
 def test_classical_radius_montecarlo_crosscheck():
@@ -55,9 +56,9 @@ def test_classical_radius_montecarlo_crosscheck():
     z = rng.standard_normal((1_000_000, 2)) + 1j * rng.standard_normal((1_000_000, 2))
     z /= np.linalg.norm(z, axis=1)[:, None]
     sampled = np.abs(np.einsum("ki,ij,kj->k", z.conj(), m, z)).max()
-    assert result.value == pytest.approx(1.0)
-    assert abs(result.value - sampled) < 1e-4
-    assert result.value >= sampled - 1e-12
+    assert result == pytest.approx(1.0)
+    assert abs(result - sampled) < 1e-4
+    assert result >= sampled - 1e-12
 
 
 def test_classical_spectral_radius_cases():
@@ -66,10 +67,23 @@ def test_classical_spectral_radius_cases():
     assert classical_spectral_radius([[0, 2], [3, 0]]) == pytest.approx(np.sqrt(6.0))
 
 
-def test_theta_search_result_fields():
-    res = classical_numerical_radius([[0, 1], [0, 0]])
-    assert 0.0 <= res.argmax_theta < np.pi  # the objective has period pi
-    assert res.samples == 1024 and res.refined
+def test_classical_radii_of_an_empty_matrix_are_zero():
+    empty = np.zeros((0, 0))
+    assert classical_numerical_radius(empty) == 0.0
+    assert classical_spectral_radius(empty) == 0.0
+    assert spectral_norm(empty) == 0.0
+
+
+def test_radii_are_python_floats():
+    _, t = random_member(3, 2, seed=5)
+    values = [
+        a_numerical_radius(t),
+        omega_offdiag(t, t),
+        classical_numerical_radius(t.t),
+        omega_real_part_sup(t),
+        structured_omega([t, t]),
+    ]
+    assert all(type(v) is float for v in values)
 
 
 def test_theta_grid_stability_on_regression_corpus():
@@ -79,8 +93,8 @@ def test_theta_grid_stability_on_regression_corpus():
     coarse = ToleranceConfig(theta_samples=1024)
     fine = ToleranceConfig(theta_samples=2048)
     for m in corpus:
-        v1 = classical_numerical_radius(m, coarse).value
-        v2 = classical_numerical_radius(m, fine).value
+        v1 = classical_numerical_radius(m, coarse)
+        v2 = classical_numerical_radius(m, fine)
         assert abs(v1 - v2) < 1e-9 * (1.0 + abs(v1))
 
 
@@ -90,8 +104,8 @@ def test_theta_grid_stability_at_campaign_resolution():
     coarse = ToleranceConfig(theta_samples=128, theta_refine_tol=1e-7)
     fine = ToleranceConfig(theta_samples=256, theta_refine_tol=1e-7)
     for m in corpus:
-        v1 = classical_numerical_radius(m, coarse).value
-        v2 = classical_numerical_radius(m, fine).value
+        v1 = classical_numerical_radius(m, coarse)
+        v2 = classical_numerical_radius(m, fine)
         assert abs(v1 - v2) < 1e-9 * (1.0 + abs(v1))
 
 
@@ -151,7 +165,7 @@ def test_route_agreement_on_members():
     for seed in range(25):
         _, t = random_member(4, 3, seed)
         primary = a_numerical_radius(t)
-        alt = omega_real_part_sup(t).value
+        alt = omega_real_part_sup(t)
         assert abs(primary - alt) <= 1e-9 * (1.0 + primary)
 
 
