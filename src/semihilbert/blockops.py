@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import DEFAULT_TOL, ToleranceConfig
+from .config import DEFAULT_TOL, ToleranceConfig, require_integer
 from .core import Operator, PsdContext, adjoint_stack, first_failure, reduce_stack, top_singular
 from .errors import BadIndex, BlockNotInBA, DimensionMismatch, NotABounded, NotFinite, RaggedBlocks
 from .radii import validated_radius_batch
@@ -44,9 +44,12 @@ __all__ = [
 class BlockMatrix:
     """A d x d grid of equally sized blocks plus its base weight context."""
 
-    d: int
     blocks: np.ndarray  # shape (d, d, n, n)
     base_ctx: PsdContext
+
+    @property
+    def d(self) -> int:
+        return self.blocks.shape[0]
 
     @property
     def n(self) -> int:
@@ -64,8 +67,7 @@ def lift(ctx: PsdContext, d: int) -> PsdContext:
     The lifted eigenpairs are the base ones tiled and sorted stably by
     descending eigenvalue, so the range pairs come first.
     """
-    if d < 1:
-        raise BadIndex(f"block count must be >= 1, got {d}")
+    require_integer("d", d, 1, BadIndex)
     eye = np.eye(d)
     tiled = np.tile(ctx.eigvals, d)
     order = np.argsort(-tiled, kind="stable")
@@ -98,9 +100,8 @@ def assemble(blocks, ctx: PsdContext) -> BlockMatrix:
         raise DimensionMismatch(
             f"blocks are {grid.shape[2]}x{grid.shape[2]} but context is {ctx.dim}-dimensional"
         )
-    d = grid.shape[0]
     grid.setflags(write=False)
-    return BlockMatrix(d=d, blocks=grid, base_ctx=ctx)
+    return BlockMatrix(blocks=grid, base_ctx=ctx)
 
 
 def flatten(bm: BlockMatrix) -> Operator:
@@ -112,8 +113,7 @@ def flatten(bm: BlockMatrix) -> Operator:
 
 def split_blocks(m: np.ndarray, d: int) -> np.ndarray:
     """Inverse of the flatten layout: a (d n) x (d n) matrix to a (d, d, n, n) grid."""
-    if d < 1:
-        raise BadIndex(f"block count must be >= 1, got {d}")
+    require_integer("d", d, 1, BadIndex)
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % d:
         raise DimensionMismatch(f"cannot split shape {m.shape} into {d}x{d} blocks")
@@ -133,7 +133,7 @@ def block_sharp(bm: BlockMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> BlockMat
     _require_members(bm, tol)
     out = adjoint_stack(bm.base_ctx, np.swapaxes(bm.blocks, 0, 1))
     out.setflags(write=False)
-    return BlockMatrix(d=bm.d, blocks=out, base_ctx=bm.base_ctx)
+    return BlockMatrix(blocks=out, base_ctx=bm.base_ctx)
 
 
 def u_k(k: int, d: int, ctx: PsdContext) -> BlockMatrix:

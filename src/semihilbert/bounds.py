@@ -36,17 +36,6 @@ from .radii import offdiag_sup_batch, validated_radius_batch
 
 __all__ = ["BOUND_KEYS", "BoundReport", "InstanceWork", "evaluate_all", "search_radii"]
 
-BOUND_KEYS = (
-    "B1_thf1",
-    "B2_r2",
-    "B3_th2",
-    "B4_diag_offdiag",
-    "B5_re_im",
-    "B6_maxdiag",
-    "B7_prior",
-)
-
-
 @dataclass
 class BoundReport:
     """Per-instance record of the radius, every bound, gaps and verdicts.
@@ -251,6 +240,7 @@ _BOUND_METHODS = {
     "B6_maxdiag": InstanceWork.maxdiag,
     "B7_prior": InstanceWork.prior,
 }
+BOUND_KEYS = tuple(_BOUND_METHODS)
 
 
 def search_radii(works: Sequence[InstanceWork]) -> None:

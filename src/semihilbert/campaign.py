@@ -5,10 +5,10 @@ in parallel and still produce byte-identical reports: workers return
 results keyed by instance id and the merge is a deterministic sort.  Every
 instance builds one :class:`InstanceWork`, which produces the bound report
 and then feeds a small suite of cheap structural invariants (seminorm
-equivalence, spectral domination, comparison-matrix inequalities) from the
-same cached reductions; their failures count as violations.  An instance
-that raises a package or linear-algebra error is recorded in the summary's
-``instance_errors``, also a violation, and the campaign goes on.
+equivalence, spectral domination, comparison-matrix inequalities, the pair
+sandwich) from the same cached values; their failures count as violations.
+An instance raising a package or linear-algebra error is recorded in the
+summary's ``instance_errors``, also a violation, and the campaign goes on.
 
 The instances run in chunks of 16 consecutive ones, serially or one chunk
 per worker task.  A chunk generates, tests and reduces each instance on its
@@ -60,8 +60,8 @@ class CampaignConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "gens", tuple(self.gens))
-        require_integer(self, "trials", 1)
-        require_integer(self, "parallelism", 1)
+        require_integer("trials", self.trials, 1)
+        require_integer("parallelism", self.parallelism, 1)
         if not self.gens:
             raise ValueError("gens must name at least one generation spec")
         if self.output_format not in ("json", "csv"):
@@ -89,6 +89,10 @@ def instance_invariants(work: InstanceWork, report: BoundReport) -> list[str]:
         failures.append("radius_above_seminorm")
     if omega < 0.5 * norm - slack:
         failures.append("radius_below_half_seminorm")
+
+    # S_ij <= omega: compress to blocks i, j and average with the A-unitary diag(I, -I)
+    if work.pair_omegas.max() > omega + slack:
+        failures.append("radius_below_pair_radius")
 
     spectral = reduced_spectral_radius(reduced, tol)
     if spectral > omega + slack:

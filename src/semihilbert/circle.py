@@ -72,16 +72,12 @@ def sup_on_circle_batch(evaluate, count: int, tol: ToleranceConfig, derivatives)
     if 2.0 * h <= tol.theta_refine_tol:
         return best
 
-    # circular local maxima; problems with fewer than _PEAKS of them repeat
-    # their global best point, which is refined once
+    # circular local maxima, the global best among them; the top _PEAKS slots
+    # list the peaks first, so a problem with fewer peaks refines just those
     peaks = (gvals >= np.roll(gvals, 1, axis=1)) & (gvals >= np.roll(gvals, -1, axis=1))
     scored = np.where(peaks, gvals, -np.inf)
     top = np.argsort(scored, axis=1)[:, : -_PEAKS - 1 : -1]
-    top = np.where(np.take_along_axis(peaks, top, axis=1), top, best_idx[:, None])
-    fresh = np.ones(top.shape, dtype=bool)
-    for k in range(1, _PEAKS):
-        fresh[:, k] = (top[:, k, None] != top[:, :k]).all(axis=1)
-    rows, cols = np.nonzero(fresh)
+    rows, cols = np.nonzero(np.take_along_axis(peaks, top, axis=1))
     refined = np.full(top.shape, -np.inf)
     refined[rows, cols] = _newton_refine(derivatives, rows, top[rows, cols] * h, h, tol.theta_refine_tol)
     # strictly greater, so an equal refined value (a zero of the other sign)

@@ -36,25 +36,24 @@ class ToleranceConfig:
     def __post_init__(self):
         # a NaN slack would make every "residual > slack" comparison False
         for name in ("rank_rtol", "cmp_atol", "theta_refine_tol"):
-            require_positive(self, name)
-        require_integer(self, "theta_samples", 8)
-        require_integer(self, "gelfand_max_power", 1)
+            require_positive(name, getattr(self, name))
+        require_integer("theta_samples", self.theta_samples, 8)
+        require_integer("gelfand_max_power", self.gelfand_max_power, 1)
 
 
-def require_positive(config, name: str) -> None:
-    """Raise ``ValueError`` naming ``name`` unless that field of ``config`` is a
-    finite positive number."""
-    value = getattr(config, name)
+def require_positive(name: str, value) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a finite positive
+    number."""
     if not (isinstance(value, Real) and math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 
-def require_integer(config, name: str, least: int) -> None:
-    """Raise ``ValueError`` naming ``name`` unless that field of ``config`` is an
+def require_integer(name: str, value, least: int, error: type[Exception] = ValueError) -> int:
+    """``value`` as an ``int``; raises ``error`` naming ``name`` unless it is an
     integer, not a bool, of at least ``least``."""
-    value = getattr(config, name)
     if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
-        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+        raise error(f"{name} must be an integer of at least {least}, got {value!r}")
+    return int(value)
 
 
 DEFAULT_TOL = ToleranceConfig()

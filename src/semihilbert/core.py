@@ -174,6 +174,8 @@ def _as_vector(x, n: int) -> np.ndarray:
     v = np.asarray(x, dtype=np.complex128).reshape(-1)
     if v.shape[0] != n:
         raise DimensionMismatch(f"expected a vector of length {n}, got {v.shape[0]}")
+    if not np.isfinite(v).all():
+        raise NotFinite("vector has NaN or infinite entries")
     return v
 
 

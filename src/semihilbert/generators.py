@@ -42,10 +42,10 @@ class GenSpec:
 
     def __post_init__(self):
         for name, least in (("n", 1), ("d", 1), ("rank", 1), ("seed", 0)):
-            require_integer(self, name, least)
+            require_integer(name, getattr(self, name), least)
         if self.rank > self.n:
             raise ValueError(f"need 1 <= rank <= n, got rank={self.rank}, n={self.n}")
-        require_positive(self, "scale")
+        require_positive("scale", self.scale)
         if self.ensemble not in ENSEMBLES:
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
 

@@ -35,7 +35,7 @@ from .circle import (
     sup_on_circle_batch,
 )
 from .config import DEFAULT_TOL, ToleranceConfig
-from .core import Operator, a_adjoint, in_ba, reduce, reduce_stack, spectral_norm
+from .core import Operator, _as_square_complex, a_adjoint, in_ba, reduce, reduce_stack, spectral_norm
 from .errors import DimensionMismatch, GelfandDivergence, NotInBA
 
 __all__ = [
@@ -58,19 +58,15 @@ _DEFECTIVE_GUARD = 256.0 * math.sqrt(np.finfo(float).eps)
 def classical_numerical_radius(m, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Numerical radius of a plain complex matrix via the circle supremum; 0.0
     for empty input."""
-    mats = np.asarray(m, dtype=np.complex128)[None]
-    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {mats.shape[1:]}")
-    if mats.size == 0:
+    m = _as_square_complex(m)
+    if m.size == 0:
         return 0.0
-    return float(validated_radius_batch(mats, tol)[0])
+    return float(validated_radius_batch(m[None], tol)[0])
 
 
 def classical_spectral_radius(m) -> float:
-    """Largest eigenvalue modulus of a plain complex matrix."""
-    m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    """Largest eigenvalue modulus of a plain complex matrix; 0.0 for empty input."""
+    m = _as_square_complex(m)
     if m.size == 0:
         return 0.0
     return float(np.abs(np.linalg.eigvals(m)).max())

@@ -12,15 +12,14 @@ import csv
 import dataclasses
 import io
 import json
-from numbers import Integral
 
 import numpy as np
 
 from .blockops import BlockMatrix, assemble
 from .bounds import BOUND_KEYS, BoundReport
-from .config import DEFAULT_TOL, ToleranceConfig
+from .config import DEFAULT_TOL, ToleranceConfig, require_integer
 from .core import PsdContext, make_context
-from .errors import BadIndex, DimensionMismatch, SemiHilbertError
+from .errors import BadIndex, DimensionMismatch
 
 __all__ = [
     "matrix_to_json",
@@ -70,17 +69,9 @@ def block_matrix_to_json(bm: BlockMatrix) -> dict:
     }
 
 
-def _count_field(data: dict, name: str, error: type[SemiHilbertError]) -> int:
-    """Field ``name`` of ``data``, raising ``error`` naming it unless it is an
-    integer, not a bool, of at least 1."""
-    value = data[name]
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
-        raise error(f"{name} must be an integer of at least 1, got {value!r}")
-    return int(value)
-
-
 def block_matrix_from_json(data: dict, tol: ToleranceConfig = DEFAULT_TOL) -> BlockMatrix:
-    d, n = _count_field(data, "d", BadIndex), _count_field(data, "n", DimensionMismatch)
+    d = require_integer("d", data["d"], 1, BadIndex)
+    n = require_integer("n", data["n"], 1, DimensionMismatch)
     mats = [matrix_from_json(b) for b in data["blocks"]]
     if len(mats) != d * d:
         raise DimensionMismatch(f"expected {d * d} blocks, got {len(mats)}")

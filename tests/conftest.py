@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from semihilbert import DEFAULT_TOL, GenSpec, Operator, bounds, make_context
+from semihilbert import DEFAULT_TOL, GenSpec, Operator, ToleranceConfig, bounds, make_context
 from semihilbert.generators import gen_block_matrix, gen_compatible, gen_psd
+
+# the acceptance campaign's tolerance, a coarse grid plus deep refinement:
+# radii drift from the default resolution by well under 1e-12 on its instance
+# family (see the grid stability tests), and its 12 (d, n, rank) shapes
+CAMPAIGN_TOL = ToleranceConfig(theta_samples=128, theta_refine_tol=1e-7)
+ACCEPTANCE_SHAPES = tuple((d, n, rank) for d in (2, 3, 4) for n in (2, 3) for rank in (n, n - 1))
 
 
 @pytest.fixture

@@ -15,7 +15,6 @@ from semihilbert import (
     CampaignConfig,
     GenSpec,
     Operator,
-    ToleranceConfig,
     a_adjoint,
     a_numerical_radius,
     a_op_norm,
@@ -42,13 +41,9 @@ from semihilbert import (
 from semihilbert.core import spectral_norm
 from semihilbert.generators import gen_a_unitary, gen_compatible, gen_psd
 
-from conftest import weight_oracle
+from conftest import ACCEPTANCE_SHAPES, CAMPAIGN_TOL, weight_oracle
 
 SLACK = 1e-8
-
-# coarse grid plus deep refinement: radii drift from the default resolution
-# by well under 1e-12 on this instance family (see the grid stability tests)
-CAMPAIGN_TOL = ToleranceConfig(theta_samples=128, theta_refine_tol=1e-7)
 
 
 def announce(line: str):
@@ -59,10 +54,7 @@ def announce(line: str):
 def campaign_result():
     gens = tuple(
         GenSpec(n=n, d=d, rank=rank, ensemble="ginibre", scale=1.0, seed=0)
-        for d in (2, 3, 4)
-        for n in (2, 3)
-        for rank in (n, n - 1)
-        if rank >= 1
+        for d, n, rank in ACCEPTANCE_SHAPES
     )
     cfg = CampaignConfig(
         trials=1000,

@@ -116,6 +116,14 @@ def test_split_rejects_nonpositive_block_count():
         split_blocks(np.eye(4), 0)
 
 
+@pytest.mark.parametrize("d", [1.5, 2.0, True])
+def test_block_count_must_be_an_integer(d):
+    with pytest.raises(BadIndex, match=rf"d must be an integer of at least 1, got {d!r}"):
+        split_blocks(np.eye(4), d)
+    with pytest.raises(BadIndex, match=rf"d must be an integer of at least 1, got {d!r}"):
+        lift(make_context(np.eye(2)), d)
+
+
 def test_ragged_blocks_rejected():
     ctx = make_context(np.eye(2))
     with pytest.raises(RaggedBlocks):

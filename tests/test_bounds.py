@@ -24,11 +24,10 @@ from semihilbert.core import spectral_norm
 from semihilbert.generators import ENSEMBLES, gen_compatible, gen_psd
 from semihilbert.radii import _DEFECTIVE_GUARD, reduced_spectral_radius, validated_radius_batch
 
-from conftest import block_matrix_sweep
+from conftest import CAMPAIGN_TOL, block_matrix_sweep
 from test_blockops import random_block_matrix
 
 SLACK = 1e-8
-CAMPAIGN_TOL = ToleranceConfig(theta_samples=128, theta_refine_tol=1e-7)
 
 
 @pytest.fixture(scope="module")
@@ -144,7 +143,7 @@ def test_flat_reduced_is_the_lifted_reduction_permuted(ensemble):
     # reduction moves by more than rounding under the permutation, within
     # the guard reduced_spectral_radius allows for it
     eps = np.finfo(float).eps
-    tol = ToleranceConfig(theta_samples=128, theta_refine_tol=1e-7)
+    tol = CAMPAIGN_TOL
     for bm in block_matrix_sweep(ensemble):
         work = InstanceWork(bm, tol)
         flat = flatten(bm)

@@ -28,7 +28,7 @@ from semihilbert.core import top_singular
 from semihilbert.generators import ENSEMBLES
 from semihilbert.serialize import report_to_dict
 
-from conftest import corrupt_bound
+from conftest import CAMPAIGN_TOL, corrupt_bound
 
 FAST_TOL = ToleranceConfig(theta_samples=64, theta_refine_tol=1e-7)
 
@@ -197,9 +197,16 @@ def test_invariants_flag_radius_below_half_seminorm(clean_instance):
     assert "radius_below_half_seminorm" in instance_invariants(work, replace(report, omega=0.0))
 
 
-@pytest.mark.parametrize(
-    "tol", [DEFAULT_TOL, ToleranceConfig(theta_samples=128, theta_refine_tol=1e-7)]
-)
+def test_invariants_flag_radius_below_pair_radius(clean_instance):
+    # every pair radius is a lower end of omega, so the check fires just below
+    # the largest of them and not at it
+    work, report = clean_instance
+    top = float(work.pair_omegas.max())
+    assert "radius_below_pair_radius" not in instance_invariants(work, replace(report, omega=top))
+    assert "radius_below_pair_radius" in instance_invariants(work, replace(report, omega=top - 1e-3))
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, CAMPAIGN_TOL])
 @pytest.mark.parametrize("d, seed", [(3, 12), (4, 28), (4, 46)])
 def test_rank_one_sparse_instances_keep_hat_spectral_domination(d, seed, tol):
     # the flattened reductions are nilpotent (r_A = 0) and eigvals finds
@@ -213,9 +220,7 @@ def test_rank_one_sparse_instances_keep_hat_spectral_domination(d, seed, tol):
     assert "hat_spectral_domination" not in instance_invariants(work, work.report())
 
 
-@pytest.mark.parametrize(
-    "tol", [DEFAULT_TOL, ToleranceConfig(theta_samples=128, theta_refine_tol=1e-7)]
-)
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, CAMPAIGN_TOL])
 @pytest.mark.parametrize("d, n", [(5, 4), (2, 6)])
 def test_large_scale_rank_one_nilpotent_instance_is_clean(d, n, tol):
     # the reduction is exactly zero, so the pair symmetry check compares

@@ -16,7 +16,8 @@ from semihilbert.circle import (
     rotation_eig_objective,
 )
 
-CAMPAIGN_TOL = ToleranceConfig(theta_samples=128, theta_refine_tol=1e-7)
+from conftest import CAMPAIGN_TOL
+
 TWO_PI = 2.0 * math.pi
 
 

@@ -21,6 +21,7 @@ from semihilbert import (
     a_op_norm,
     assemble,
     classical_numerical_radius,
+    classical_spectral_radius,
     in_ba,
     in_ba_half,
     make_context,
@@ -464,9 +465,27 @@ def _nonfinite_json(bad):
     make_context(matrix_from_json(json.loads(text)))
 
 
+def _nonfinite_semi_inner(bad):
+    semi_inner(np.ones(2), bad[0], make_context(np.eye(2)))
+
+
+def _nonfinite_semi_norm(bad):
+    semi_norm(bad[0], make_context(np.eye(2)))
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize(
-    "entry", [_nonfinite_make_context, _nonfinite_operator, _nonfinite_assemble, _nonfinite_json]
+    "entry",
+    [
+        _nonfinite_make_context,
+        _nonfinite_operator,
+        _nonfinite_assemble,
+        _nonfinite_json,
+        classical_numerical_radius,
+        classical_spectral_radius,
+        _nonfinite_semi_inner,
+        _nonfinite_semi_norm,
+    ],
 )
 def test_nonfinite_input_is_rejected(entry, value):
     bad = np.eye(2, dtype=complex)

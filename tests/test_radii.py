@@ -33,7 +33,7 @@ from semihilbert.generators import (
 from semihilbert.core import spectral_norm
 from semihilbert.radii import _DEFECTIVE_GUARD, reduced_spectral_radius
 
-from conftest import a_unit_samples, random_member
+from conftest import CAMPAIGN_TOL, a_unit_samples, random_member
 
 SLACK = 1e-8
 
@@ -101,10 +101,9 @@ def test_theta_grid_stability_on_regression_corpus():
 def test_theta_grid_stability_at_campaign_resolution():
     rng = np.random.default_rng(8)
     corpus = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for n in (3, 8, 12)]
-    coarse = ToleranceConfig(theta_samples=128, theta_refine_tol=1e-7)
     fine = ToleranceConfig(theta_samples=256, theta_refine_tol=1e-7)
     for m in corpus:
-        v1 = classical_numerical_radius(m, coarse)
+        v1 = classical_numerical_radius(m, CAMPAIGN_TOL)
         v2 = classical_numerical_radius(m, fine)
         assert abs(v1 - v2) < 1e-9 * (1.0 + abs(v1))
 
@@ -332,7 +331,7 @@ def test_offdiag_symmetry():
 
 @pytest.mark.parametrize(
     "tol",
-    [ToleranceConfig(), ToleranceConfig(theta_samples=128, theta_refine_tol=1e-7)],
+    [ToleranceConfig(), CAMPAIGN_TOL],
     ids=["default", "campaign"],
 )
 @pytest.mark.parametrize("ensemble", ENSEMBLES)

@@ -9,7 +9,7 @@ import pkgutil
 import pytest
 
 import semihilbert
-from semihilbert import GenSpec, ToleranceConfig, a_numerical_radius, campaign, evaluate_all
+from semihilbert import GenSpec, a_numerical_radius, campaign, evaluate_all
 from semihilbert.circle import (
     phase_combo_norm_objective,
     rotation_eig_objective,
@@ -19,7 +19,7 @@ from semihilbert.core import first_failure, reduce, reduce_stack
 from semihilbert.generators import gen_compatible
 from semihilbert.radii import classical_numerical_radius, omega_offdiag, omega_real_part_sup
 
-from conftest import random_member
+from conftest import CAMPAIGN_TOL, random_member
 from test_blockops import random_block_matrix
 
 
@@ -104,8 +104,7 @@ def test_campaign_chunk_makes_one_search_per_matrix_order(searches, monkeypatch)
     gens = tuple(
         GenSpec(n=n, d=d, rank=rank, seed=0) for d in (2, 3, 4) for n in (2, 3) for rank in (n, n - 1)
     )
-    campaign_tol = ToleranceConfig(theta_samples=128, theta_refine_tol=1e-7)
-    result = campaign.run_campaign(campaign.CampaignConfig(trials=1, gens=gens, tol=campaign_tol))
+    result = campaign.run_campaign(campaign.CampaignConfig(trials=1, gens=gens, tol=CAMPAIGN_TOL))
     assert result.summary["instances"] == 12 and result.summary["instance_errors"] == []
     assert len(searches) == 10
     assert sorted(orders["omega"]) == [2, 3, 4, 6, 8, 9, 12]
@@ -134,8 +133,7 @@ def test_every_radius_search_samples_half_the_circle(monkeypatch):
         return results
 
     assert patch_everywhere(monkeypatch, sup_on_circle_batch, counted) >= 2
-    campaign_tol = ToleranceConfig(theta_samples=128, theta_refine_tol=1e-7)
-    evaluate_all(random_block_matrix(3, 2, 1, seed=9), campaign_tol)
+    evaluate_all(random_block_matrix(3, 2, 1, seed=9), CAMPAIGN_TOL)
     _, t = random_member(4, 3, seed=9)
     a_numerical_radius(t)
     omega_real_part_sup(t)
@@ -172,9 +170,8 @@ def test_campaign_instance_tests_membership_once_and_never_calls_reduce(monkeypa
 
     assert patch_everywhere(monkeypatch, first_failure, counted_test) >= 2
     assert patch_everywhere(monkeypatch, reduce, counted_reduce) >= 2
-    campaign_tol = ToleranceConfig(theta_samples=128, theta_refine_tol=1e-7)
     spec = GenSpec(n=3, d=3, rank=2, seed=5)
-    ((_, _, failures, error),) = campaign._run_chunk([(0, spec, 0, campaign_tol)])
+    ((_, _, failures, error),) = campaign._run_chunk([(0, spec, 0, CAMPAIGN_TOL)])
     assert failures == [] and error is None
     assert tests == [(3, 3)]
     assert reductions == []
