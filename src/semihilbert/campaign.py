@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -81,7 +80,9 @@ def instance_invariants(work: InstanceWork, report: BoundReport) -> list[str]:
     failures = []
     tol = work.tol
     reduced = work.flat_reduced
-    norm = spectral_norm(reduced)
+    # the envelope starts ||R||, ||R^2||^{1/2}, ...
+    spectral, envelope = reduced_spectral_radius(reduced, tol)
+    norm = envelope[0]
     slack = tol.cmp_atol * (1.0 + norm)
     omega = report.omega
 
@@ -94,7 +95,6 @@ def instance_invariants(work: InstanceWork, report: BoundReport) -> list[str]:
     if work.pair_omegas.max() > omega + slack:
         failures.append("radius_below_pair_radius")
 
-    spectral = reduced_spectral_radius(reduced, tol)
     if spectral > omega + slack:
         failures.append("spectral_above_radius")
 
@@ -105,7 +105,8 @@ def instance_invariants(work: InstanceWork, report: BoundReport) -> list[str]:
         failures.append("hat_norm_domination")
 
     # the reduction is multiplicative, so the reduction of T^2 is R^2
-    power_bound = 0.5 * (norm + np.sqrt(spectral_norm(reduced @ reduced)))
+    root_square = envelope[1] if len(envelope) > 1 else np.sqrt(spectral_norm(reduced @ reduced))
+    power_bound = 0.5 * (norm + root_square)
     if omega > power_bound + slack:
         failures.append("power_refinement")
     return failures
@@ -170,6 +171,9 @@ def run_campaign(cfg: CampaignConfig) -> CampaignResult:
     ]
     chunks = [payloads[i : i + _CHUNK] for i in range(0, len(payloads), _CHUNK)]
     if cfg.parallelism > 1 and len(chunks) > 1:
+        # imported here, so a serial campaign never loads the pool machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
             done = list(pool.map(_run_chunk, chunks))
     else:

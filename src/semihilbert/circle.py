@@ -21,8 +21,16 @@ the spacing ``2*pi / theta_samples`` or finer, and return the suprema alone.
 
 Objectives receive an array of angles of shape (problems, points) and must
 return values of the same shape.  The objectives here evaluate the grid in
-slices of at most ``_GRID_SLICE`` problems, so a search over the problems of
-many instances holds no more of the pencil stack than a small one.
+slices of at most ``_GRID_SLICE`` problems, and their oracles the Newton
+lanes of as many problems, so a search over the problems of many instances
+holds no more of the pencil stack than a small one.
+
+A search value is attained, so it is a lower end of the supremum, but a
+grid can miss a narrow peak.  For numerical radii,
+:func:`radius_certificate` supplies the upper end: one eigenvalue problem of
+the quadratic pencil ``z^2 M - 2 r z I + M^*`` shows whether
+``lambda_max(H(theta))`` reaches ``r`` anywhere on the circle.  With it, a
+coarse grid only has to seed Newton (:func:`semihilbert.radii.validated_radius_batch`).
 """
 
 from __future__ import annotations
@@ -41,9 +49,17 @@ _FLAT = 64.0 * _EPS
 # a top eigenvalue closer than this (relative) to the next is treated as
 # multiple, where the eigenvalue is not smooth and Newton's model is void
 _GAP = math.sqrt(_EPS)
-# problems per eigensolver call on the grid, which bounds the pencil stack a
+# problems per eigensolver call on the grid, and per call of the Newton oracle
+# the lanes of as many problems (_PEAKS each), which bounds the pencil stack a
 # lockstep search over many problems holds at once
 _GRID_SLICE = 16
+# the radius certificate: relative margin delta of r_hi = v (1 + delta), the
+# fixed shift mu off the unit circle, the window around |z| = 1 and the
+# largest condition number of A - mu B it accepts
+_DELTA = 1e-9
+_SHIFT = 0.37 + 0.21j
+_WINDOW = 1e-7
+_COND = 1e10
 
 
 def sup_on_circle_batch(evaluate, count: int, tol: ToleranceConfig, derivatives) -> np.ndarray:
@@ -161,14 +177,81 @@ def rotation_eig_objective(mats: np.ndarray):
     return evaluate
 
 
-def _grid_slices(count: int):
-    """Consecutive row slices of at most ``_GRID_SLICE`` problems."""
-    return (slice(i, i + _GRID_SLICE) for i in range(0, count, _GRID_SLICE))
+def _grid_slices(count: int, size: int = _GRID_SLICE):
+    """Consecutive row slices of at most ``size`` rows."""
+    return (slice(i, i + size) for i in range(0, count, size))
 
 
 def rotation_eig_derivatives(mats: np.ndarray):
     """Derivative oracle of :func:`rotation_eig_objective` for the refiner."""
     return _pencil_derivatives(*_hermitian_parts(mats))
+
+
+def radius_certificate(mats: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """True where the numerical radius of ``mats[k]`` is below
+    ``r_hi = values[k] (1 + delta)``, delta = 1e-9, as a bool array.
+
+    For ``z = e^{i theta}``, ``lambda_max(H(theta)) = r`` exactly when
+    ``det(z^2 M - 2 r z I + M^*) = 0`` (He & Watson, IMA J. Numer. Anal.
+    1997; Mengi & Overton, IMA J. Numer. Anal. 2005).  With ``m = M / r_hi``
+    that is the pencil ``A - z B``, ``A = [[0, I], [-m^*, 2I]]`` and
+    ``B = [[I, 0], [0, m]]``, whose eigenvalues are ``z = mu + 1/nu`` for
+    the eigenvalues nu of ``solve(A - mu B, B)`` at a fixed shift mu off the
+    unit circle; nu = 0 is an infinite eigenvalue of a singular M, never
+    near the circle.  A problem is certified when no z lies within 1e-7 of
+    the unit circle and ``A - mu B`` has 1-norm condition number at most
+    1e10; should the stacked solve find some ``A - mu B`` exactly singular,
+    no problem of the stack is certified.  An exactly zero M is certified,
+    its radius being 0.
+
+    Soundness.  The angles where ``lambda_max(H(theta)) = r_hi`` are the
+    unimodular z, so if none exists, ``lambda_max(H)`` stays on one side of
+    ``r_hi`` over the whole circle.  It is below at one angle at least,
+    because ``values`` come from a search: each is the largest computed
+    objective value, which rounds the exact one by about eps ||M||, and
+    ``delta v`` is far larger.  So the radius, the supremum of
+    ``lambda_max``, is below ``r_hi``.  A value lowered by hand breaks that
+    premise: on a square-zero M the pencil has no unimodular eigenvalue at
+    any r below the radius, so such an r would be certified.  The check
+    rests on backward-stable ``solve`` and ``eigvals``, on the window, which
+    must exceed their errors, and on the condition bound, which keeps the
+    error of the solve small; a numerical range that is a disk makes the
+    pencil nearly singular at ``r_hi``, and such problems are not certified.
+    """
+    mats = np.asarray(mats)
+    n = mats.shape[-1]
+    r_hi = np.asarray(values, dtype=float) * (1.0 + _DELTA)
+    certified = ~mats.any(axis=(-2, -1))
+    live = np.flatnonzero(~certified & (r_hi > 0.0))
+    if live.size == 0:
+        return certified
+    m = mats[live] / r_hi[live, None, None]
+    order, diag, wide = 2 * n, np.arange(n), np.arange(2 * n)
+    # A - mu B = [[-mu I, I], [-m^*, 2I - mu m]] and the right-hand sides
+    # [B, I], in preallocated stacks: one solve gives C and (A - mu B)^{-1}
+    shifted = np.zeros((len(live), order, order), dtype=complex)
+    shifted[:, diag, diag] = -_SHIFT
+    shifted[:, diag, n + diag] = 1.0
+    shifted[:, n:, :n] = -np.conj(np.swapaxes(m, -1, -2))
+    shifted[:, n:, n:] = -_SHIFT * m
+    shifted[:, n + diag, n + diag] += 2.0
+    rhs = np.zeros((len(live), order, 2 * order), dtype=complex)
+    rhs[:, diag, diag] = 1.0
+    rhs[:, n:, n:order] = m
+    rhs[:, wide, order + wide] = 1.0
+    try:
+        solved = np.linalg.solve(shifted, rhs)
+    except np.linalg.LinAlgError:  # an exactly singular A - mu B certifies nothing
+        return certified
+    # the condition number in the 1-norm; NaN or inf fails the bound
+    cond = np.linalg.norm(shifted, 1, axis=(-2, -1)) * np.linalg.norm(solved[..., order:], 1, axis=(-2, -1))
+    well = cond <= _COND
+    nu = np.linalg.eigvals(solved[well, :, :order])
+    # |z| = |mu nu + 1| / |nu|, compared without dividing by nu
+    size = np.abs(nu)
+    near = np.abs(np.abs(_SHIFT * nu + 1.0) - size) <= _WINDOW * size
+    certified[live[well]] = ~near.any(axis=-1)
+    return certified
 
 
 def phase_combo_norm_objective(left: np.ndarray, right: np.ndarray):
@@ -235,29 +318,42 @@ def _pencil_derivatives(p: np.ndarray, q: np.ndarray):
     is a stationary point where the refiner stops.  Where the top eigenvalue
     is not separated from the next by ``sqrt(eps) lambda`` the curvature is
     returned as 0 too, so the refiner bisects.
+
+    The lanes are evaluated in slices of at most ``_GRID_SLICE * _PEAKS``,
+    the most that the problems of one grid slice refine, so only a slice's
+    pencils are gathered at once; each lane's values do not depend on the
+    slicing.
     """
 
     def derivatives(rows, thetas):
-        cos = np.cos(thetas)[:, None, None]
-        sin = np.sin(thetas)[:, None, None]
-        pr, qr = p[rows], q[rows]
-        w, u = np.linalg.eigh(cos * pr - sin * qr)
-        # eigenpairs of sH in ascending order, so the top one is last
-        upper = w[:, -1] >= -w[:, 0]
-        w = np.where(upper[:, None], w, -w[:, ::-1])
-        u = np.where(upper[:, None, None], u, u[:, :, ::-1])
-        lam = w[:, -1]
-        shifted = (-sin * pr - cos * qr) @ u[:, :, -1:]  # H' u
-        coupling = (np.conj(np.swapaxes(u, -1, -2)) @ shifted)[..., 0]  # u_k^* H' u
-        slope = np.where(upper, 1.0, -1.0) * coupling[:, -1].real
-        dist = lam[:, None] - w[:, :-1]
-        floor = _GAP * lam
-        apart = dist > floor[:, None]
-        terms = np.divide(np.abs(coupling[:, :-1]) ** 2, dist, out=np.zeros_like(dist), where=apart)
-        curv = 2.0 * terms.sum(axis=-1) - lam
-        flat = _FLAT * lam
-        curv = np.where(apart.all(axis=-1) & (np.abs(curv) > flat), curv, 0.0)
-        slope = np.where(np.abs(slope) <= flat, 0.0, slope)
-        return lam, slope, curv
+        out = np.empty((3, len(rows)))
+        for s in _grid_slices(len(rows), _GRID_SLICE * _PEAKS):
+            out[:, s] = _top_eig_derivatives(p[rows[s]], q[rows[s]], thetas[s])
+        return out[0], out[1], out[2]
 
     return derivatives
+
+
+def _top_eig_derivatives(p: np.ndarray, q: np.ndarray, thetas: np.ndarray):
+    """Values, slopes and curvatures of :func:`_pencil_derivatives` for the
+    gathered pencils of one slice of lanes."""
+    cos = np.cos(thetas)[:, None, None]
+    sin = np.sin(thetas)[:, None, None]
+    w, u = np.linalg.eigh(cos * p - sin * q)
+    # eigenpairs of sH in ascending order, so the top one is last
+    upper = w[:, -1] >= -w[:, 0]
+    w = np.where(upper[:, None], w, -w[:, ::-1])
+    u = np.where(upper[:, None, None], u, u[:, :, ::-1])
+    lam = w[:, -1]
+    shifted = (-sin * p - cos * q) @ u[:, :, -1:]  # H' u
+    coupling = (np.conj(np.swapaxes(u, -1, -2)) @ shifted)[..., 0]  # u_k^* H' u
+    slope = np.where(upper, 1.0, -1.0) * coupling[:, -1].real
+    dist = lam[:, None] - w[:, :-1]
+    floor = _GAP * lam
+    apart = dist > floor[:, None]
+    terms = np.divide(np.abs(coupling[:, :-1]) ** 2, dist, out=np.zeros_like(dist), where=apart)
+    curv = 2.0 * terms.sum(axis=-1) - lam
+    flat = _FLAT * lam
+    curv = np.where(apart.all(axis=-1) & (np.abs(curv) > flat), curv, 0.0)
+    slope = np.where(np.abs(slope) <= flat, 0.0, slope)
+    return lam, slope, curv

@@ -19,7 +19,10 @@ class ToleranceConfig:
     theta_samples     grid resolution of the circle-parameter suprema: every
                       objective has period pi, so the grid samples [0, pi)
                       with ceil(theta_samples / 2) points, a spacing of at
-                      most 2*pi / theta_samples
+                      most 2*pi / theta_samples.  The pair radii search
+                      this grid; a numerical radius searches 8 points first
+                      and this grid only as the fallback for the problems
+                      whose certificate fails (or when it has at most 8)
     theta_refine_tol  angle resolution of the Newton refinement: it stops
                       after a step no longer than this, or once the
                       bracket around the peak is no wider

@@ -19,17 +19,27 @@ negative of the one at theta), so every search samples only [0, pi): the
 numerical radius maximizes ``||H(theta)||_2``, the largest |lambda| of the
 rotated Hermitian part, which over [0, pi) reaches the full-circle
 supremum of ``lambda_max``.
+
+Every numerical radius, of a single operator, a plain matrix or a
+flattened block matrix, goes through :func:`validated_radius_batch`: a
+coarse search of 8 grid angles and Newton, then one pencil certificate per
+stack (:func:`semihilbert.circle.radius_certificate`) that the radius is
+below the value times ``1 + 1e-9``.  Only the problems it does not certify
+are searched on the full grid of ``theta_samples``, and their values are
+those of that search alone.  The pair radii keep the full grid.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from .circle import (
     phase_combo_derivatives,
     phase_combo_norm_objective,
+    radius_certificate,
     rotation_eig_derivatives,
     rotation_eig_objective,
     sup_on_circle_batch,
@@ -53,6 +63,9 @@ __all__ = [
 # computed eigenvalues of a defective matrix can sit O(sqrt(eps)) above the
 # exact power-sequence envelope; the cross-check slack must absorb that
 _DEFECTIVE_GUARD = 256.0 * math.sqrt(np.finfo(float).eps)
+# theta_samples of the coarse search that a radius certificate checks: 8
+# angles on [0, pi), which only have to seed Newton
+_COARSE_SAMPLES = 16
 
 
 def classical_numerical_radius(m, tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -102,8 +115,25 @@ def validated_radius_batch(reduced: np.ndarray, tol: ToleranceConfig) -> np.ndar
     Each radius is the supremum of the largest |lambda| of the rotated
     Hermitian part H(t) = (e^{it} R + e^{-it} R^*) / 2, which equals the
     rotated-real-part objective because the reduction of T^# is R^*.  Since
-    H(t + pi) = -H(t), the search covers [0, pi).
+    H(t + pi) = -H(t), the search covers [0, pi).  A coarse search of
+    ``_COARSE_SAMPLES`` grid points per period seeds Newton, and
+    :func:`semihilbert.circle.radius_certificate` checks its values; the
+    problems it does not certify are searched again, as one stack, on the
+    full grid of ``tol.theta_samples``, so their values are those of a
+    search without the certificate.  A grid no finer than the coarse one is
+    searched directly.
     """
+    if tol.theta_samples <= _COARSE_SAMPLES:
+        return _radius_search(reduced, tol)
+    values = _radius_search(reduced, replace(tol, theta_samples=_COARSE_SAMPLES))
+    redo = np.flatnonzero(~radius_certificate(reduced, values))
+    if redo.size:
+        values[redo] = _radius_search(reduced[redo], tol)
+    return values
+
+
+def _radius_search(reduced: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """Grid-and-Newton suprema of ||H(t)||_2 for a stack of reductions."""
     return sup_on_circle_batch(
         rotation_eig_objective(reduced), len(reduced), tol, rotation_eig_derivatives(reduced)
     )
@@ -149,15 +179,16 @@ def _gelfand_from_reduced(reduced: np.ndarray, tol: ToleranceConfig) -> np.ndarr
 
 def a_spectral_radius(op: Operator, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Weighted spectral radius, computed on the reduction."""
-    return reduced_spectral_radius(reduce(op, tol), tol)
+    return reduced_spectral_radius(reduce(op, tol), tol)[0]
 
 
-def reduced_spectral_radius(reduced: np.ndarray, tol: ToleranceConfig) -> float:
-    """Spectral radius of an already-reduced matrix.
+def reduced_spectral_radius(reduced: np.ndarray, tol: ToleranceConfig) -> tuple[float, np.ndarray]:
+    """Spectral radius of an already-reduced matrix, with the power-sequence
+    envelope ``||R^p||^{1/p}`` that cross-checks it.
 
-    The power-sequence envelope must stay above the eigenvalue-based value;
-    if it dips below (beyond a slack covering defective-eigenvalue noise)
-    a :class:`GelfandDivergence` is raised.
+    The envelope must stay above the eigenvalue-based value; if it dips
+    below (beyond a slack covering defective-eigenvalue noise) a
+    :class:`GelfandDivergence` is raised.  Its first entry is ``||R||``.
     """
     primary = float(np.abs(np.linalg.eigvals(reduced)).max()) if reduced.size else 0.0
     envelope = _gelfand_from_reduced(reduced, tol)
@@ -167,7 +198,7 @@ def reduced_spectral_radius(reduced: np.ndarray, tol: ToleranceConfig) -> float:
         raise GelfandDivergence(
             f"power sequence {envelope.min():.6e} fell below spectral radius {primary:.6e}"
         )
-    return primary
+    return primary, envelope
 
 
 def offdiag_sup_batch(lefts: np.ndarray, rights: np.ndarray, tol: ToleranceConfig) -> np.ndarray:

@@ -11,6 +11,9 @@ from semihilbert.generators import gen_block_matrix, gen_compatible, gen_psd
 # family (see the grid stability tests), and its 12 (d, n, rank) shapes
 CAMPAIGN_TOL = ToleranceConfig(theta_samples=128, theta_refine_tol=1e-7)
 ACCEPTANCE_SHAPES = tuple((d, n, rank) for d in (2, 3, 4) for n in (2, 3) for rank in (n, n - 1))
+# the coarse search a numerical radius runs before its certificate: 8 grid
+# angles on [0, pi), then Newton at the campaign's refinement tolerance
+COARSE_TOL = ToleranceConfig(theta_samples=16, theta_refine_tol=CAMPAIGN_TOL.theta_refine_tol)
 
 
 @pytest.fixture

@@ -155,7 +155,7 @@ def test_flat_reduced_is_the_lifted_reduction_permuted(ensemble):
         assert abs(spectral_norm(work.flat_reduced) - spectral_norm(lifted)) <= 8 * eps * size, case
         grid_omega, lifted_omega = validated_radius_batch(np.stack([work.flat_reduced, lifted]), tol)
         assert abs(grid_omega - lifted_omega) <= 16 * eps * size, case
-        rho_gap = reduced_spectral_radius(work.flat_reduced, tol) - reduced_spectral_radius(lifted, tol)
+        rho_gap = reduced_spectral_radius(work.flat_reduced, tol)[0] - reduced_spectral_radius(lifted, tol)[0]
         assert abs(rho_gap) <= _DEFECTIVE_GUARD * size, case
 
 

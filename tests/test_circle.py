@@ -10,13 +10,16 @@ import pytest
 
 from semihilbert import ToleranceConfig, sup_on_circle_batch
 from semihilbert.circle import (
+    _GRID_SLICE,
+    _PEAKS,
     phase_combo_derivatives,
     phase_combo_norm_objective,
+    radius_certificate,
     rotation_eig_derivatives,
     rotation_eig_objective,
 )
 
-from conftest import CAMPAIGN_TOL
+from conftest import CAMPAIGN_TOL, COARSE_TOL
 
 TWO_PI = 2.0 * math.pi
 
@@ -346,3 +349,73 @@ def test_odd_theta_samples_never_coarsen_the_half_circle_grid():
     assert grid[-1] + np.diff(grid).max() == pytest.approx(math.pi)
     for res, row in zip(results, lambda_max_on_full_circle(mats, 129)):
         assert res >= row.max() - 1e-12 * max(1.0, row.max())
+
+
+def test_oracle_lanes_are_sliced_without_changing_their_values(monkeypatch):
+    # 40 problems with 3 lanes each: one oracle call gathers and solves at
+    # most _GRID_SLICE * _PEAKS lanes at a time, and every lane's values are
+    # bitwise those of a call on that lane alone or on a 16-lane piece
+    rng = np.random.default_rng(70)
+    mats = random_stack(rng, 40, 4)
+    rows = np.repeat(np.arange(40), 3)
+    thetas = rng.uniform(0.0, math.pi, rows.size)
+    oracle = rotation_eig_derivatives(mats)
+    batches = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        batches.append(len(a))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    whole = np.array(oracle(rows, thetas))
+    assert batches == [48, 48, 24] and _GRID_SLICE * _PEAKS == 48
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    for size in (1, 16):
+        pieces = [oracle(rows[i : i + size], thetas[i : i + size]) for i in range(0, rows.size, size)]
+        assert np.array_equal(whole, np.concatenate([np.array(p) for p in pieces], axis=1))
+
+
+# ------------------------------------------------------------- certificate
+
+
+def square_zero_stack(rng, count, n):
+    """Matrices u v^* with v^* u = 0: M^2 = 0, and the numerical range is a disk."""
+    u, v = random_stack(rng, 2, n)[:, :, :count]
+    v -= u * ((u.conj() * v).sum(axis=0) / (u.conj() * u).sum(axis=0))
+    return np.einsum("ik,jk->kij", u, v.conj())
+
+
+def test_certificate_holds_on_searched_values_at_every_scale():
+    # the coarse search's values certify alike from 1e-8 to 1e8, and an exact
+    # zero matrix is certified with radius 0
+    mats = random_stack(np.random.default_rng(71), 6, 4)
+    for scale in (1e-8, 1e-4, 1.0, 1e4, 1e8):
+        scaled = scale * mats
+        assert radius_certificate(scaled, rotation_search(scaled, COARSE_TOL)).all()
+    zeros = np.zeros((2, 4, 4), dtype=complex)
+    assert radius_certificate(zeros, np.zeros(2)).all()
+    mixed = np.concatenate([zeros[:1], mats[:1]])
+    assert radius_certificate(mixed, rotation_search(mixed, COARSE_TOL)).all()
+
+
+def test_certificate_rejects_every_grid_value_that_falls_short():
+    # 8 grid angles without Newton under-report by up to cos(pi/16): every
+    # value short of the full search by more than 1e-9 relative is rejected,
+    # and every Newton-polished value is certified
+    mats = random_stack(np.random.default_rng(72), 64, 3)
+    full = rotation_search(mats)
+    grid_only = rotation_search(mats, ToleranceConfig(theta_samples=16, theta_refine_tol=1.0))
+    short = grid_only < full * (1.0 - 1e-9)
+    assert short.sum() > 32
+    assert not radius_certificate(mats, grid_only)[short].any()
+    assert radius_certificate(mats, rotation_search(mats, COARSE_TOL)).all()
+
+
+def test_square_zero_matrices_are_not_certified():
+    # a disk-shaped numerical range keeps lambda_max(H) level at the radius,
+    # so the pencil at r_hi is nearly singular and the certificate fails
+    mats = square_zero_stack(np.random.default_rng(73), 5, 4)
+    values = rotation_search(mats, COARSE_TOL)
+    np.testing.assert_allclose(values, np.linalg.norm(mats, 2, axis=(1, 2)) / 2.0, rtol=1e-14)
+    assert not radius_certificate(mats, values).any()

@@ -31,9 +31,15 @@ from semihilbert.generators import (
     gen_psd,
 )
 from semihilbert.core import spectral_norm
-from semihilbert.radii import _DEFECTIVE_GUARD, reduced_spectral_radius
+from semihilbert.circle import radius_certificate
+from semihilbert.radii import (
+    _DEFECTIVE_GUARD,
+    _radius_search,
+    reduced_spectral_radius,
+    validated_radius_batch,
+)
 
-from conftest import CAMPAIGN_TOL, a_unit_samples, random_member
+from conftest import CAMPAIGN_TOL, COARSE_TOL, a_unit_samples, random_member
 
 SLACK = 1e-8
 
@@ -106,6 +112,51 @@ def test_theta_grid_stability_at_campaign_resolution():
         v1 = classical_numerical_radius(m, CAMPAIGN_TOL)
         v2 = classical_numerical_radius(m, fine)
         assert abs(v1 - v2) < 1e-9 * (1.0 + abs(v1))
+
+
+# ------------------------------------------------- certified coarse search
+
+
+def test_narrow_peak_missed_by_the_coarse_search_gets_the_full_grid_value():
+    # the flattened reduction of this instance has a peak that 8 grid angles
+    # and Newton miss, by 1.8e-4 relative; the certificate rejects the coarse
+    # value, and the radius is the full grid's, bitwise
+    spec = GenSpec(n=2, d=2, rank=2, ensemble="a-selfadjoint", seed=18)
+    work = InstanceWork(gen_block_matrix(spec, CAMPAIGN_TOL), CAMPAIGN_TOL)
+    reduced = work.flat_reduced[None]
+    coarse = _radius_search(reduced, COARSE_TOL)
+    full = _radius_search(reduced, CAMPAIGN_TOL)
+    assert coarse[0] < full[0] * (1.0 - 1e-4)
+    assert not radius_certificate(reduced, coarse)[0]
+    assert validated_radius_batch(reduced, CAMPAIGN_TOL)[0] == full[0]
+    assert work.omega == full[0]
+
+
+def test_square_zero_reductions_fall_back_to_the_full_grid():
+    # nilpotent-lift operators of rank 2 and a square-zero plain matrix have
+    # disks for numerical ranges: none is certified, and each radius is
+    # bitwise the full grid's
+    ops = [random_member(4, 2, seed, ensemble="nilpotent-lift")[1] for seed in range(3)]
+    square_zero = np.outer([1.0, 2.0j, 0.0], [2.0, 1.0j, 3.0])
+    for tol in (CAMPAIGN_TOL, ToleranceConfig()):
+        for reduced in [reduce(op, tol) for op in ops] + [square_zero]:
+            full = _radius_search(reduced[None], tol)
+            assert not radius_certificate(reduced[None], _radius_search(reduced[None], COARSE_TOL))[0]
+            assert validated_radius_batch(reduced[None], tol)[0] == full[0]
+        assert a_numerical_radius(ops[0], tol) == _radius_search(reduce(ops[0], tol)[None], tol)[0]
+        assert classical_numerical_radius(square_zero, tol) == _radius_search(square_zero[None], tol)[0]
+
+
+@pytest.mark.parametrize("ensemble", ENSEMBLES)
+def test_certified_radii_stay_within_rounding_of_the_full_grid(ensemble):
+    # every radius is within 1e-14 relative of the full search's, at both
+    # tolerances, whether its coarse value was certified or searched again
+    for tol in (CAMPAIGN_TOL, ToleranceConfig()):
+        for n in (2, 3, 5, 8):
+            for rank in sorted({1, n // 2, n}):
+                reduced = reduce(random_member(n, rank, seed=n + rank, ensemble=ensemble)[1], tol)[None]
+                value, full = validated_radius_batch(reduced, tol)[0], _radius_search(reduced, tol)[0]
+                assert value == pytest.approx(full, rel=1e-14, abs=0.0)
 
 
 # ------------------------------------------------------- real and imag part
@@ -269,6 +320,18 @@ def test_gelfand_envelope_dominates_and_converges():
         assert env[-1] <= r * 1.05 + 1e-6
 
 
+def test_spectral_radius_hands_back_the_norms_of_its_envelope():
+    # the campaign's invariants read ||R|| and ||R^2||^{1/2} from the envelope
+    for seed, ensemble in enumerate(ENSEMBLES):
+        reduced = reduce(random_member(5, 4, seed, ensemble)[1])
+        radius, envelope = reduced_spectral_radius(reduced, ToleranceConfig())
+        assert radius == a_spectral_radius(random_member(5, 4, seed, ensemble)[1])
+        assert envelope[0] == spectral_norm(reduced)
+        # squared, since a nilpotent-lift R^2 is rounding and its root is not
+        square = spectral_norm(reduced @ reduced)
+        assert envelope[1] ** 2 == pytest.approx(square, rel=1e-14, abs=1e-15 * envelope[0] ** 2)
+
+
 def test_gelfand_envelope_of_nearly_nilpotent_matrix_does_not_underflow():
     # T^3 = delta I, so rho = delta^(1/3) and ||T^64||^(1/64) = delta^(21/64);
     # unscaled, T^64 = delta^21 T underflows to zero and the cross-check fails
@@ -280,7 +343,7 @@ def test_gelfand_envelope_of_nearly_nilpotent_matrix_does_not_underflow():
     assert abs(a_spectral_radius(op) / delta ** (1 / 3) - 1.0) <= 1e-6
     # the same on a sparse reduction whose eigenbasis block is a Jordan-3 chain
     work = InstanceWork(gen_block_matrix(GenSpec(n=6, d=1, rank=3, ensemble="sparse")))
-    assert reduced_spectral_radius(work.flat_reduced, work.tol) < 1e-5
+    assert reduced_spectral_radius(work.flat_reduced, work.tol)[0] < 1e-5
 
 
 @pytest.mark.xfail(
@@ -293,7 +356,7 @@ def test_jordan3_spectral_radius_stays_within_the_defective_guard():
     reduced = work.flat_reduced
     # the reduction is nilpotent of index 3: R^2 is of order ||R||^2, R^3 rounding
     assert np.abs(reduced @ reduced @ reduced).max() <= 1e-14 * spectral_norm(reduced) ** 3
-    assert reduced_spectral_radius(reduced, work.tol) <= _DEFECTIVE_GUARD * spectral_norm(reduced)
+    assert reduced_spectral_radius(reduced, work.tol)[0] <= _DEFECTIVE_GUARD * spectral_norm(reduced)
 
 
 # ---------------------------------------------------------------- offdiag

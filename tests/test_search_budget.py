@@ -114,31 +114,50 @@ def test_campaign_chunk_makes_one_search_per_matrix_order(searches, monkeypatch)
     assert sum(searches) == 12 + sum(d * (d + 1) // 2 for d in (2, 3, 4) for _ in range(4))
 
 
-def test_every_radius_search_samples_half_the_circle(monkeypatch):
-    # every radius objective has period pi, so the grid holds m/2 angles per
-    # problem, 64 at the campaign tolerance and 512 at the default; the Newton
-    # refiner evaluates its angles through the derivative oracle, not the
-    # objective, so the grid is the objective's only call
-    angles = []  # objective angles per problem, one entry per search
+@pytest.fixture
+def grids(monkeypatch):
+    """(objective angles per problem, problems) of every circle search, counted
+    through every module that holds ``sup_on_circle_batch``."""
+    seen = []
 
     def counted(evaluate, count, *args, **kwargs):
-        seen = []
+        angles = []
 
         def objective(thetas):
-            seen.append(thetas.shape[1])
+            angles.append(thetas.shape[1])
             return evaluate(thetas)
 
         results = sup_on_circle_batch(objective, count, *args, **kwargs)
-        angles.append(sum(seen))
+        seen.append((sum(angles), count))
         return results
 
     assert patch_everywhere(monkeypatch, sup_on_circle_batch, counted) >= 2
+    return seen
+
+
+def test_every_radius_search_samples_half_the_circle(grids):
+    # every radius objective has period pi, so a grid holds m/2 angles per
+    # problem.  A numerical radius runs a coarse search of 8 angles, and its
+    # certificate holds on all three problems here, so none is searched again
+    # on the full grid of 64 angles at the campaign tolerance or 512 at the
+    # default; the pair search keeps its full grid.  The Newton refiner
+    # evaluates its angles through the derivative oracle, not the objective,
+    # so the grid is the objective's only call
     evaluate_all(random_block_matrix(3, 2, 1, seed=9), CAMPAIGN_TOL)
     _, t = random_member(4, 3, seed=9)
     a_numerical_radius(t)
     omega_real_part_sup(t)
     classical_numerical_radius(t.t)
-    assert angles == [64] * 2 + [512] * 3
+    assert grids == [(8, 1), (64, 6), (8, 1), (512, 1), (8, 1)]
+
+
+def test_uncertified_radius_falls_back_to_the_full_grid(grids):
+    # a nilpotent-lift reduction of rank 2 has a disk for its numerical range,
+    # where the certificate's pencil is nearly singular: its one problem is
+    # searched again on the full grid, and the fallback is the only extra search
+    _, t = random_member(4, 2, seed=3, ensemble="nilpotent-lift")
+    a_numerical_radius(t)
+    assert grids == [(8, 1), (512, 1)]
 
 
 def test_evaluate_all_tests_blockwise_adjoint_membership_once(monkeypatch):
