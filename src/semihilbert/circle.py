@@ -29,8 +29,9 @@ A search value is attained, so it is a lower end of the supremum, but a
 grid can miss a narrow peak.  For numerical radii,
 :func:`radius_certificate` supplies the upper end: one eigenvalue problem of
 the quadratic pencil ``z^2 M - 2 r z I + M^*`` shows whether
-``lambda_max(H(theta))`` reaches ``r`` anywhere on the circle.  With it, a
-coarse grid only has to seed Newton (:func:`semihilbert.radii.validated_radius_batch`).
+``lambda_max(H(theta))`` reaches ``r`` anywhere on the circle, and two norms
+(:func:`closed_form_certificate`) cover the disks, where it is nearly singular.
+With them, a coarse grid only has to seed Newton (:func:`semihilbert.radii.validated_radius_batch`).
 """
 
 from __future__ import annotations
@@ -216,7 +217,7 @@ def radius_certificate(mats: np.ndarray, values: np.ndarray) -> np.ndarray:
     rests on backward-stable ``solve`` and ``eigvals``, on the window, which
     must exceed their errors, and on the condition bound, which keeps the
     error of the solve small; a numerical range that is a disk makes the
-    pencil nearly singular at ``r_hi``, and such problems are not certified.
+    pencil nearly singular at ``r_hi``: :func:`closed_form_certificate` covers it.
     """
     mats = np.asarray(mats)
     n = mats.shape[-1]
@@ -252,6 +253,24 @@ def radius_certificate(mats: np.ndarray, values: np.ndarray) -> np.ndarray:
     near = np.abs(np.abs(_SHIFT * nu + 1.0) - size) <= _WINDOW * size
     certified[live[well]] = ~near.any(axis=-1)
     return certified
+
+
+def closed_form_certificate(mats: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """True where ``u = sqrt(||M^* M + M M^*|| / 4 + ||M^2|| / 2)`` is at most
+    ``values[k] (1 + delta / 2)``: one stacked ``eigvalsh`` and one ``svd``.
+
+    Soundness.  ``omega(M)^2 <= ||M^* M + M M^*|| / 4 + omega(M^2) / 2``
+    (Abu-Omar & Kittaneh, Rocky Mountain J. Math. 2015) and
+    ``omega(M^2) <= ||M^2||``, so ``omega(M) <= u``; the computed u is off by
+    O(n eps) relative, far below ``delta / 2``, so a certified radius is below
+    ``values[k] (1 + delta)``.  u is the radius itself for normal M and for
+    square-zero M, whose numerical range is a disk of radius ``||M|| / 2``
+    (Haagerup & de la Harpe, Proc. AMS 1992): the problems the pencil rejects.
+    """
+    adj = np.conj(np.swapaxes(mats, -1, -2))
+    herm = np.linalg.eigvalsh(mats @ adj + adj @ mats)[..., -1] / 4.0
+    upper = np.sqrt(herm + np.linalg.svd(mats @ mats, compute_uv=False)[..., 0] / 2.0)
+    return upper <= np.asarray(values) * (1.0 + _DELTA / 2.0)
 
 
 def phase_combo_norm_objective(left: np.ndarray, right: np.ndarray):

@@ -42,14 +42,10 @@ ENV_PREFIX = "SEMIHILBERT_"
 _TOL_FLAGS = {f.name: type(f.default) for f in dataclasses.fields(ToleranceConfig)}
 
 
-def _env(name: str):
-    return os.environ.get(ENV_PREFIX + name.upper())
-
-
 def _setting(flag_value, name: str, cast, fallback):
     if flag_value is not None:
         return flag_value
-    raw = _env(name)
+    raw = os.environ.get(ENV_PREFIX + name.upper())
     if raw is not None:
         return cast(raw)
     return fallback

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -169,6 +170,11 @@ class Operator:
     def dim(self) -> int:
         return self.t.shape[0]
 
+    @cached_property
+    def reduced(self) -> np.ndarray:
+        """The unchecked, read-only :func:`reduce_stack` of ``t``, computed once."""
+        return _frozen(reduce_stack(self.ctx, self.t))
+
 
 def _as_vector(x, n: int) -> np.ndarray:
     v = np.asarray(x, dtype=np.complex128).reshape(-1)
@@ -259,11 +265,12 @@ def reduce(op: Operator, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
     The image is ``V_r C V_r^*`` and vanishes off ``range(A)``, so the
     classical norm / numerical radius / spectral radius of ``C`` equal the
-    weighted ones of ``op``.  Requires weighted-seminorm boundedness.
+    weighted ones of ``op``.  Requires weighted-seminorm boundedness, tested
+    on every call; the result is the read-only ``op.reduced``, computed once.
     """
     if not in_ba_half(op, tol):
         raise NotABounded("operator is unbounded for the weighted seminorm")
-    return reduce_stack(op.ctx, op.t)
+    return op.reduced
 
 
 def a_op_norm(op: Operator, tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -280,4 +287,4 @@ def a_op_norm(op: Operator, tol: ToleranceConfig = DEFAULT_TOL) -> float:
             stacklevel=2,
         )
         return math.inf
-    return spectral_norm(reduce_stack(op.ctx, op.t))
+    return spectral_norm(op.reduced)

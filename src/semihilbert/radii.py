@@ -14,19 +14,14 @@ padded.  The rotated-real-part supremum
 
 stays available as an independent route, :func:`omega_real_part_sup`.
 
-Every searched objective has period pi (the operator at theta + pi is the
-negative of the one at theta), so every search samples only [0, pi): the
-numerical radius maximizes ``||H(theta)||_2``, the largest |lambda| of the
-rotated Hermitian part, which over [0, pi) reaches the full-circle
-supremum of ``lambda_max``.
-
 Every numerical radius, of a single operator, a plain matrix or a
 flattened block matrix, goes through :func:`validated_radius_batch`: a
-coarse search of 8 grid angles and Newton, then one pencil certificate per
-stack (:func:`semihilbert.circle.radius_certificate`) that the radius is
-below the value times ``1 + 1e-9``.  Only the problems it does not certify
-are searched on the full grid of ``theta_samples``, and their values are
-those of that search alone.  The pair radii keep the full grid.
+coarse search of 8 grid angles and Newton, then certificates that the
+radius is below the value times ``1 + 1e-9``, a pencil solve per stack and
+a closed form for the normal and square-zero reductions it rejects.  Only
+the problems both reject are searched on the full grid of
+``theta_samples``, with the values of that search alone.  The pair radii
+keep the full grid.
 """
 
 from __future__ import annotations
@@ -37,6 +32,7 @@ from dataclasses import replace
 import numpy as np
 
 from .circle import (
+    closed_form_certificate,
     phase_combo_derivatives,
     phase_combo_norm_objective,
     radius_certificate,
@@ -45,7 +41,7 @@ from .circle import (
     sup_on_circle_batch,
 )
 from .config import DEFAULT_TOL, ToleranceConfig
-from .core import Operator, _as_square_complex, a_adjoint, in_ba, reduce, reduce_stack, spectral_norm
+from .core import Operator, _as_square_complex, a_adjoint, in_ba, reduce, spectral_norm
 from .errors import DimensionMismatch, GelfandDivergence, NotInBA
 
 __all__ = [
@@ -117,16 +113,19 @@ def validated_radius_batch(reduced: np.ndarray, tol: ToleranceConfig) -> np.ndar
     rotated-real-part objective because the reduction of T^# is R^*.  Since
     H(t + pi) = -H(t), the search covers [0, pi).  A coarse search of
     ``_COARSE_SAMPLES`` grid points per period seeds Newton, and
-    :func:`semihilbert.circle.radius_certificate` checks its values; the
-    problems it does not certify are searched again, as one stack, on the
-    full grid of ``tol.theta_samples``, so their values are those of a
-    search without the certificate.  A grid no finer than the coarse one is
-    searched directly.
+    :func:`semihilbert.circle.radius_certificate` checks its values, then
+    :func:`semihilbert.circle.closed_form_certificate`, exact on normal and
+    square-zero R, those it rejects.  Only the problems both reject are
+    searched again, as one stack, on the full grid of ``tol.theta_samples``,
+    so their values are those of a search without certificates.  A grid no
+    finer than the coarse one is searched directly.
     """
     if tol.theta_samples <= _COARSE_SAMPLES:
         return _radius_search(reduced, tol)
     values = _radius_search(reduced, replace(tol, theta_samples=_COARSE_SAMPLES))
     redo = np.flatnonzero(~radius_certificate(reduced, values))
+    if redo.size:
+        redo = redo[~closed_form_certificate(reduced[redo], values[redo])]
     if redo.size:
         values[redo] = _radius_search(reduced[redo], tol)
     return values
@@ -231,5 +230,4 @@ def omega_offdiag(t: Operator, s: Operator, tol: ToleranceConfig = DEFAULT_TOL) 
         if not in_ba(op, tol):
             raise NotInBA(f"{side} operator does not admit a weighted adjoint")
     # the reduction of S^# is the conjugate transpose of that of S
-    right = reduce_stack(s.ctx, s.t).conj().T
-    return float(offdiag_sup_batch(reduce_stack(t.ctx, t.t)[None], right[None], tol)[0])
+    return float(offdiag_sup_batch(t.reduced[None], s.reduced.conj().T[None], tol)[0])

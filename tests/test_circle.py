@@ -10,8 +10,10 @@ import pytest
 
 from semihilbert import ToleranceConfig, sup_on_circle_batch
 from semihilbert.circle import (
+    _DELTA,
     _GRID_SLICE,
     _PEAKS,
+    closed_form_certificate,
     phase_combo_derivatives,
     phase_combo_norm_objective,
     radius_certificate,
@@ -419,3 +421,60 @@ def test_square_zero_matrices_are_not_certified():
     values = rotation_search(mats, COARSE_TOL)
     np.testing.assert_allclose(values, np.linalg.norm(mats, 2, axis=(1, 2)) / 2.0, rtol=1e-14)
     assert not radius_certificate(mats, values).any()
+
+
+# ------------------------------------------------------------- closed form
+
+
+def closed_form_stacks(rng):
+    """(kind, stack of 4) over n = 1 to 6: general, Hermitian, normal,
+    square-zero (n >= 2) and a Jordan-3 block in a random basis (n >= 3),
+    whose square is not zero."""
+    for n in range(1, 7):
+        general = random_stack(rng, 4, n)
+        basis = np.linalg.qr(random_stack(rng, 4, n))[0]
+        spectrum = random_stack(rng, 4, n)[..., :1] * np.eye(n)
+        yield "general", general
+        yield "hermitian", general + np.conj(np.swapaxes(general, -1, -2))
+        yield "normal", basis @ spectrum @ np.conj(np.swapaxes(basis, -1, -2))
+        if n >= 2:
+            yield "square-zero", square_zero_stack(rng, 4, n)
+        if n >= 3:
+            jordan = np.eye(n, k=1) * (np.arange(n) < 2)[:, None]
+            yield "jordan-3", basis @ jordan @ np.conj(np.swapaxes(basis, -1, -2))
+
+
+def closed_form_upper(mats):
+    """sqrt(||M^* M + M M^*|| / 4 + ||M^2|| / 2), from numpy's matrix 2-norms."""
+    adj = np.conj(np.swapaxes(mats, -1, -2))
+    herm = np.linalg.norm(mats @ adj + adj @ mats, 2, axis=(-2, -1))
+    return np.sqrt(herm / 4.0 + np.linalg.norm(mats @ mats, 2, axis=(-2, -1)) / 2.0)
+
+
+def test_closed_form_bounds_the_radius_and_certifies_within_half_the_margin():
+    # omega <= u at every order, kind and scale; a value v is certified
+    # exactly when u <= v (1 + delta / 2), and u is the radius itself on
+    # normal and square-zero matrices, but not on a Jordan-3 block
+    rng = np.random.default_rng(74)
+    for kind, mats in closed_form_stacks(rng):
+        for scale in (1e-8, 1.0, 1e8):
+            scaled = scale * mats
+            upper, omega = closed_form_upper(scaled), rotation_search(scaled)
+            assert (omega <= upper * (1.0 + 1e-14)).all(), kind
+            assert closed_form_certificate(scaled, upper / (1.0 + _DELTA / 4.0)).all(), kind
+            assert not closed_form_certificate(scaled, upper / (1.0 + 3.0 * _DELTA / 4.0)).any(), kind
+            if kind in ("hermitian", "normal", "square-zero"):
+                assert closed_form_certificate(scaled, omega).all(), kind
+            elif kind == "jordan-3":
+                assert not closed_form_certificate(scaled, omega).any()
+
+
+def test_closed_form_never_certifies_a_lowered_value():
+    # on normal and square-zero matrices u is the radius, so a coarse value
+    # lowered by hand to v (1 - 1e-6) falls below it and is rejected
+    rng = np.random.default_rng(75)
+    for kind, mats in closed_form_stacks(rng):
+        if kind in ("normal", "square-zero"):
+            values = rotation_search(mats, COARSE_TOL)
+            assert closed_form_certificate(mats, values).all()
+            assert not closed_form_certificate(mats, values * (1.0 - 1e-6)).any()

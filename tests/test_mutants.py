@@ -64,6 +64,16 @@ def unconjugated_pair_rights(monkeypatch):
     monkeypatch.setattr(bounds, "offdiag_sup_batch", mutant)
 
 
+def unhalved_pair_radii(monkeypatch):
+    """Pair radii are the suprema of sigma_max(e^{i t} L + e^{-i t} R), not half of them."""
+    search = bounds.offdiag_sup_batch
+
+    def mutant(lefts, rights, tol):
+        return 2.0 * search(lefts, rights, tol)
+
+    monkeypatch.setattr(bounds, "offdiag_sup_batch", mutant)
+
+
 def test_unmutated_campaign_is_clean():
     assert violations() == 0
 
@@ -73,6 +83,7 @@ def test_unmutated_campaign_is_clean():
     [
         zeroed_diagonal,
         unconjugated_pair_rights,
+        unhalved_pair_radii,
         pytest.param(
             block_transposed,
             marks=pytest.mark.xfail(

@@ -1,5 +1,7 @@
 """Classical and weighted radii and the circle search."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -31,8 +33,10 @@ from semihilbert.generators import (
     gen_psd,
 )
 from semihilbert.core import spectral_norm
-from semihilbert.circle import radius_certificate
+from semihilbert import radii
+from semihilbert.circle import closed_form_certificate, radius_certificate
 from semihilbert.radii import (
+    _COARSE_SAMPLES,
     _DEFECTIVE_GUARD,
     _radius_search,
     reduced_spectral_radius,
@@ -132,19 +136,31 @@ def test_narrow_peak_missed_by_the_coarse_search_gets_the_full_grid_value():
     assert work.omega == full[0]
 
 
-def test_square_zero_reductions_fall_back_to_the_full_grid():
+def test_square_zero_reductions_are_certified_by_the_closed_form(monkeypatch):
     # nilpotent-lift operators of rank 2 and a square-zero plain matrix have
-    # disks for numerical ranges: none is certified, and each radius is
-    # bitwise the full grid's
+    # disks for numerical ranges, where the pencil certifies nothing; the
+    # closed-form upper end is ||R|| / 2 there and certifies the coarse value,
+    # so no full-grid search runs, and the value is within rounding of it
     ops = [random_member(4, 2, seed, ensemble="nilpotent-lift")[1] for seed in range(3)]
     square_zero = np.outer([1.0, 2.0j, 0.0], [2.0, 1.0j, 3.0])
+    grids = []
+
+    def recorded(reduced, tol):
+        grids.append(tol.theta_samples)
+        return _radius_search(reduced, tol)
+
     for tol in (CAMPAIGN_TOL, ToleranceConfig()):
-        for reduced in [reduce(op, tol) for op in ops] + [square_zero]:
-            full = _radius_search(reduced[None], tol)
-            assert not radius_certificate(reduced[None], _radius_search(reduced[None], COARSE_TOL))[0]
-            assert validated_radius_batch(reduced[None], tol)[0] == full[0]
-        assert a_numerical_radius(ops[0], tol) == _radius_search(reduce(ops[0], tol)[None], tol)[0]
-        assert classical_numerical_radius(square_zero, tol) == _radius_search(square_zero[None], tol)[0]
+        for reduced in [reduce(op, tol)[None] for op in ops] + [square_zero[None]]:
+            coarse = _radius_search(reduced, replace(tol, theta_samples=_COARSE_SAMPLES))
+            full = _radius_search(reduced, tol)
+            assert not radius_certificate(reduced, coarse)[0]
+            assert closed_form_certificate(reduced, coarse)[0]
+            with monkeypatch.context() as patch:
+                patch.setattr(radii, "_radius_search", recorded)
+                value = validated_radius_batch(reduced, tol)[0]
+            assert value == coarse[0]
+            assert value == pytest.approx(full[0], rel=1e-14, abs=0.0)
+    assert grids == [_COARSE_SAMPLES] * 8
 
 
 @pytest.mark.parametrize("ensemble", ENSEMBLES)

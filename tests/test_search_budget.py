@@ -9,15 +9,28 @@ import pkgutil
 import pytest
 
 import semihilbert
-from semihilbert import GenSpec, a_numerical_radius, campaign, evaluate_all
+from semihilbert import (
+    GenSpec,
+    InstanceWork,
+    a_numerical_radius,
+    a_op_norm,
+    a_spectral_radius,
+    campaign,
+    evaluate_all,
+)
 from semihilbert.circle import (
     phase_combo_norm_objective,
     rotation_eig_objective,
     sup_on_circle_batch,
 )
 from semihilbert.core import first_failure, reduce, reduce_stack
-from semihilbert.generators import gen_compatible
-from semihilbert.radii import classical_numerical_radius, omega_offdiag, omega_real_part_sup
+from semihilbert.generators import ENSEMBLES, gen_block_matrix, gen_compatible
+from semihilbert.radii import (
+    classical_numerical_radius,
+    omega_offdiag,
+    omega_real_part_sup,
+    validated_radius_batch,
+)
 
 from conftest import CAMPAIGN_TOL, random_member
 from test_blockops import random_block_matrix
@@ -152,12 +165,34 @@ def test_every_radius_search_samples_half_the_circle(grids):
 
 
 def test_uncertified_radius_falls_back_to_the_full_grid(grids):
+    # the flattened reduction of this instance has a narrow peak that the
+    # coarse search misses; neither the pencil nor the closed form certifies
+    # the short value, so its one problem is searched again on the full grid,
+    # and the fallback is the only extra search
+    spec = GenSpec(n=2, d=2, rank=2, ensemble="a-selfadjoint", seed=18)
+    work = InstanceWork(gen_block_matrix(spec, CAMPAIGN_TOL), CAMPAIGN_TOL)
+    validated_radius_batch(work.flat_reduced[None], CAMPAIGN_TOL)
+    assert grids == [(8, 1), (64, 1)]
+
+
+def test_square_zero_radius_is_certified_by_the_coarse_search(grids):
     # a nilpotent-lift reduction of rank 2 has a disk for its numerical range,
-    # where the certificate's pencil is nearly singular: its one problem is
-    # searched again on the full grid, and the fallback is the only extra search
+    # where the pencil is nearly singular; the closed-form upper end ||R|| / 2
+    # certifies the coarse value, so the full grid never runs
     _, t = random_member(4, 2, seed=3, ensemble="nilpotent-lift")
     a_numerical_radius(t)
-    assert grids == [(8, 1), (512, 1)]
+    assert grids == [(8, 1)]
+
+
+@pytest.mark.parametrize("ensemble", ENSEMBLES)
+def test_every_single_operator_radius_is_one_coarse_search(grids, ensemble):
+    # the operator shapes of the single-operator benchmark at n 4 and 8, full
+    # and half rank, at the default tolerance: the pencil or the closed form
+    # certifies each coarse value, so no radius is searched on the full grid
+    for n in (4, 8):
+        for rank in (n, n // 2):
+            a_numerical_radius(random_member(n, rank, seed=n + rank, ensemble=ensemble)[1])
+    assert grids == [(8, 1)] * 4
 
 
 def test_evaluate_all_tests_blockwise_adjoint_membership_once(monkeypatch):
@@ -208,6 +243,29 @@ def test_evaluate_all_reduces_the_block_grid_once(monkeypatch):
     assert patch_everywhere(monkeypatch, reduce_stack, counted) >= 2
     evaluate_all(random_block_matrix(3, 2, 1, seed=9))
     assert batches == [(3, 3)]
+
+
+def test_operator_is_reduced_once(monkeypatch):
+    # an operator keeps its unchecked reduction, read-only: the norm, both
+    # radii and reduce read it, and reduce still tests boundedness each call
+    batches, tests = [], []
+
+    def counted_reduction(ctx, mats):
+        batches.append(mats.shape[:-2])
+        return reduce_stack(ctx, mats)
+
+    def counted_test(ctx, mats, tol=semihilbert.DEFAULT_TOL, half=False):
+        tests.append("half" if half else "adjoint")
+        return first_failure(ctx, mats, tol, half)
+
+    assert patch_everywhere(monkeypatch, reduce_stack, counted_reduction) >= 2
+    assert patch_everywhere(monkeypatch, first_failure, counted_test) >= 2
+    _, t = random_member(4, 3, seed=9)
+    for query in (a_op_norm, a_numerical_radius, a_spectral_radius):
+        query(t)
+    assert reduce(t) is t.reduced and not t.reduced.flags.writeable
+    assert batches == [()]
+    assert tests == ["half"] * 4
 
 
 def test_offdiag_radius_tests_each_operand_once(monkeypatch):
